@@ -1,5 +1,7 @@
 #include "harness.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -50,17 +52,37 @@ std::vector<std::string> mem_metric_names(
 
 namespace {
 
-
 /// Span names must be string literals (obs::trace stores the pointer).
 constexpr std::array<const char*, kRegimes> kMeasureSpan = {
     "rb.sim.measure.l1", "rb.sim.measure.l2", "rb.sim.measure.llc",
     "rb.sim.measure.dram"};
 
-void record_burst(SimProbe::Slot& slot) {
-  trace::record("rb.sim.measure_burst", slot.burst_start_ns,
-                slot.burst_end_ns - slot.burst_start_ns);
-  slot.burst_open = false;
-}
+/// Confines the calling thread, and every thread it starts (threads
+/// inherit their creator's mask), to one CPU -- the highest it may run
+/// on -- until destroyed, then restores the previous set.
+class OneCpu {
+ public:
+  OneCpu() {
+    if (sched_getaffinity(0, sizeof saved_, &saved_) != 0) return;
+    for (int cpu = CPU_SETSIZE - 1; cpu >= 0; --cpu) {
+      if (!CPU_ISSET(cpu, &saved_)) continue;
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
+      return;
+    }
+  }
+  ~OneCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof saved_, &saved_);
+  }
+  OneCpu(const OneCpu&) = delete;
+  OneCpu& operator=(const OneCpu&) = delete;
+
+ private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
 
 }  // namespace
 
@@ -103,16 +125,12 @@ cal::MeasureFactory timed_mem_factory(
 
 cal::MeasureFactory timed_net_factory(const cal::sim::net::NetworkSim& network,
                                       std::size_t op_index,
-                                      std::size_t size_index,
-                                      std::size_t plan_runs,
-                                      std::size_t window, std::size_t workers,
-                                      SimProbe& probe) {
+                                      std::size_t size_index, SimProbe& probe) {
   using cal::sim::net::NetOp;
-  window = std::max<std::size_t>(window, 1);
-  return [&network, op_index, size_index, plan_runs, window, workers,
+  return [&network, op_index, size_index,
           &probe](std::size_t worker) -> cal::MeasureFn {
     SimProbe::Slot* slot = &probe.slot(worker);
-    return [&network, op_index, size_index, plan_runs, window, workers, slot](
+    return [&network, op_index, size_index, slot](
                const cal::PlannedRun& run,
                cal::MeasureContext& ctx) -> cal::MeasureResult {
       const auto measure = [&] {
@@ -127,31 +145,11 @@ cal::MeasureFactory timed_net_factory(const cal::sim::net::NetworkSim& network,
       if (!trace::enabled()) return measure();
       const std::uint64_t t0 = trace::now_ns();
       cal::MeasureResult out = measure();
-      const std::uint64_t t1 = trace::now_ns();
       ++slot->calls;
-      slot->busy_ns += t1 - t0;
-      // White-box sequence == plan position; the engine runs position j
-      // in window j / window on worker (j - window start) % workers.
-      const std::size_t j = ctx.sequence;
-      const std::size_t win = j / window;
-      if (slot->burst_open && slot->burst_window != win) record_burst(*slot);
-      if (!slot->burst_open) {
-        slot->burst_open = true;
-        slot->burst_window = win;
-        slot->burst_start_ns = t0;
-      }
-      slot->burst_end_ns = t1;
-      const std::size_t window_end = std::min((win + 1) * window, plan_runs);
-      if (j + workers >= window_end) record_burst(*slot);
+      slot->busy_ns += trace::now_ns() - t0;
       return out;
     };
   };
-}
-
-void close_bursts(SimProbe& probe) {
-  for (std::size_t w = 0; w < probe.size(); ++w) {
-    if (probe.slot(w).burst_open) record_burst(probe.slot(w));
-  }
 }
 
 void TimedSink::begin(const std::vector<std::string>& factor_names,
@@ -203,7 +201,7 @@ const char* query_class_name(QueryClass cls) noexcept {
 }
 
 std::vector<AnalystQuery> make_query_mix(const std::vector<BundleShape>& bundles,
-                                         const QueryMix& mix,
+                                         std::size_t queries, double full_share,
                                          std::uint64_t seed,
                                          std::size_t* unique_specs) {
   if (bundles.empty()) throw std::invalid_argument("query mix: no bundles");
@@ -213,15 +211,14 @@ std::vector<AnalystQuery> make_query_mix(const std::vector<BundleShape>& bundles
   };
   // Exact class counts in seeded order: the share of expensive full
   // scans must not vary with the seed, only which ranges are drawn.
-  std::vector<QueryClass> classes;
-  double total_weight = 0.0;
-  for (const double w : mix.weights) total_weight += w;
-  for (std::size_t c = 0; c < kQueryClasses; ++c) {
-    const auto n = static_cast<std::size_t>(std::llround(
-        mix.weights[c] / total_weight * static_cast<double>(mix.queries)));
-    classes.insert(classes.end(), n, static_cast<QueryClass>(c));
+  const auto full = static_cast<std::size_t>(
+      std::llround(full_share * static_cast<double>(queries)));
+  const QueryClass others[3] = {QueryClass::kSelective,
+                                QueryClass::kMaterialize, QueryClass::kRepeat};
+  std::vector<QueryClass> classes(full, QueryClass::kFull);
+  for (std::size_t i = 0; classes.size() < queries; ++i) {
+    classes.push_back(others[i % 3]);
   }
-  classes.resize(mix.queries, QueryClass::kSelective);
   std::shuffle(classes.begin(), classes.end(), rng);
   const auto sequence_range = [](std::size_t a, std::size_t b) {
     return "sequence >= " + std::to_string(a) +
@@ -230,7 +227,7 @@ std::vector<AnalystQuery> make_query_mix(const std::vector<BundleShape>& bundles
 
   std::map<std::string, std::size_t> spec_ids;
   std::vector<AnalystQuery> out;
-  out.reserve(mix.queries);
+  out.reserve(queries);
   std::vector<std::size_t> recent;  // indices of recent non-repeat queries
   for (QueryClass cls : classes) {
     if (cls == QueryClass::kRepeat && !recent.empty()) {
@@ -276,6 +273,16 @@ std::vector<AnalystQuery> make_query_mix(const std::vector<BundleShape>& bundles
   return out;
 }
 
+std::size_t decoded_working_set(const std::vector<BundleShape>& bundles) {
+  std::size_t bytes = 0;
+  for (const BundleShape& b : bundles) {
+    bytes += b.records * (sizeof(std::size_t) +
+                          b.group_factors.size() * sizeof(cal::Value) +
+                          sizeof(double));
+  }
+  return bytes;
+}
+
 std::string run_local_query(const cal::io::archive::BbxReader& reader,
                             const cal::serve::Request& request,
                             cal::core::WorkerPool* pool,
@@ -306,43 +313,48 @@ AnalystOutcome run_analyst_phase(const std::string& catalog_root,
                                  const std::string& socket_path,
                                  const std::vector<BundleShape>& bundles,
                                  const std::vector<AnalystQuery>& queries,
-                                 std::size_t unique_specs, const QueryMix& mix,
+                                 std::size_t unique_specs,
                                  cal::core::WorkerPool& pool,
                                  const std::function<void()>& while_serving) {
   AnalystOutcome outcome;
 
   // Shadow: the expected body of every unique request, from a local
-  // BundleQuery over the same bundle (outside the timed loop).
+  // BundleQuery over the same bundle (outside the timed loop).  A
+  // repeat is run again: the local engine has no cache, so its time is
+  // what the repeated spec costs without one.
   std::map<std::string, std::unique_ptr<cal::io::archive::BbxReader>> readers;
   for (const BundleShape& b : bundles) {
     readers[b.name] = std::make_unique<cal::io::archive::BbxReader>(b.dir);
   }
   std::vector<std::string> expected(unique_specs);
-  std::vector<double> spec_exec_ms(unique_specs, -1.0);
+  std::vector<bool> done(unique_specs, false);
   for (const AnalystQuery& q : queries) {
-    if (spec_exec_ms[q.spec] < 0.0) {
-      cal::query::ScanStats scan;
-      const auto t0 = SteadyClock::now();
-      {
-        trace::Span span("rb.query.exec");
-        expected[q.spec] = run_local_query(*readers.at(q.request.bundle),
-                                           q.request, &pool, &scan);
-      }
-      spec_exec_ms[q.spec] = seconds_since(t0) * 1e3;
-      outcome.scan.blocks_total += scan.blocks_total;
-      outcome.scan.blocks_pruned += scan.blocks_pruned;
-      outcome.scan.blocks_scanned += scan.blocks_scanned;
-      outcome.scan.records_scanned += scan.records_scanned;
-      outcome.scan.records_matched += scan.records_matched;
+    if (done[q.spec] && q.cls != QueryClass::kRepeat) continue;
+    cal::query::ScanStats scan;
+    std::string body;
+    const auto t0 = SteadyClock::now();
+    {
+      trace::Span span("rb.query.exec");
+      body = run_local_query(*readers.at(q.request.bundle), q.request, &pool,
+                             &scan);
     }
     outcome.exec_ms[static_cast<std::size_t>(q.cls)].push_back(
-        spec_exec_ms[q.spec]);
+        seconds_since(t0) * 1e3);
+    if (done[q.spec]) continue;
+    done[q.spec] = true;
+    expected[q.spec] = std::move(body);
+    outcome.scan.blocks_total += scan.blocks_total;
+    outcome.scan.blocks_pruned += scan.blocks_pruned;
+    outcome.scan.blocks_scanned += scan.blocks_scanned;
+    outcome.scan.records_scanned += scan.records_scanned;
+    outcome.scan.records_matched += scan.records_matched;
   }
 
+  const OneCpu one_cpu;
   cal::serve::ServerOptions options;
   options.socket_path = socket_path;
-  options.workers = mix.server_workers;
-  options.cache.byte_budget = mix.cache_bytes;
+  options.workers = kServerWorkers;
+  options.cache.byte_budget = decoded_working_set(bundles) / 2;
   const auto setup_t0 = SteadyClock::now();
   cal::serve::QueryServer server(catalog_root, options);
   server.start();
@@ -350,7 +362,7 @@ AnalystOutcome run_analyst_phase(const std::string& catalog_root,
 
   // Closed loop: client c owns queries c, c + clients, ...; each sends
   // its next request only after the previous reply arrived.
-  const std::size_t clients = std::max<std::size_t>(mix.clients, 1);
+  const std::size_t clients = kAnalysts;
   outcome.rtt_ms.assign(queries.size(), -1.0);
   std::vector<Tally> tallies(clients);
   const auto loop_t0 = SteadyClock::now();

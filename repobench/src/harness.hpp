@@ -54,16 +54,10 @@ class SimProbe {
     std::uint64_t calls = 0;
     std::uint64_t busy_ns = 0;
     double modelled_accesses = 0.0;
-    // Open burst (net workloads): one span per worker per engine window.
-    bool burst_open = false;
-    std::size_t burst_window = 0;
-    std::uint64_t burst_start_ns = 0;
-    std::uint64_t burst_end_ns = 0;
   };
 
   explicit SimProbe(std::size_t workers) : slots_(workers) {}
   Slot& slot(std::size_t worker) { return slots_.at(worker); }
-  std::size_t size() const noexcept { return slots_.size(); }
 
   std::uint64_t calls() const;
   double busy_s() const;
@@ -87,19 +81,12 @@ cal::MeasureFactory timed_mem_factory(
     std::vector<cal::sim::pmu::Event> events, SimProbe& probe);
 
 /// LogGP calibration measure over a shared const NetworkSim.  A net
-/// call is ~1 us, too short and too many (10^6 a campaign) for one span
-/// each, so a traced campaign records one rb.sim.measure_burst span per
-/// worker per engine window (`window` runs, sharded round-robin over
-/// `workers`), closed on the worker's last run of the window.
+/// call is ~1 us, too short and too many (10^6 a campaign) for a span
+/// each, so traced calls are only counted and timed into `probe`; the
+/// trace has no sim spans on the net workloads.
 cal::MeasureFactory timed_net_factory(const cal::sim::net::NetworkSim& network,
                                       std::size_t op_index,
-                                      std::size_t size_index,
-                                      std::size_t plan_runs,
-                                      std::size_t window, std::size_t workers,
-                                      SimProbe& probe);
-
-/// Records any burst a worker left open (call after the campaign).
-void close_bursts(SimProbe& probe);
+                                      std::size_t size_index, SimProbe& probe);
 
 /// RecordSink decorator timing the archive layer: rb.archive.consume
 /// per batch, rb.archive.close around the final flush.
@@ -140,20 +127,27 @@ struct BundleShape {
   std::string metric;                      ///< aggregated / projected
 };
 
-struct QueryMix {
-  std::size_t queries = 0;
-  /// Relative class weights: selective, full, materialize, repeat.
-  std::array<double, kQueryClasses> weights{1, 1, 1, 1};
-  /// Closed-loop analysts and server pool width.  analyst-serve is a
-  /// team of 4 on a 4-worker server (queueing, coalescing, cache
-  /// contention).  The campaign workloads pick what gave the steadiest
-  /// serve figures in interleaved runs on the 4-thread reference host:
-  /// on their sub-millisecond queries 4 clients or 4 workers make the
-  /// figures track host wake-up latency more than the program.
-  std::size_t clients = 4;
-  std::size_t server_workers = 4;
-  std::size_t cache_bytes = 64u << 20;
-};
+/// The one analyst traffic every workload serves.  Its shape is an
+/// assumption, not a measured trace: no served workload of the program
+/// is on record to derive it from.
+///   queries   1000 an iteration, the fewest whose p99 has 10 samples
+///             beyond it;
+///   classes   the four classes in equal shares, except where a
+///             workload lowers the full-scan share for a measured cost
+///             (net-ingest, see workloads.cpp);
+///   analysts  2 closed-loop clients, so requests overlap (queueing,
+///             coalescing), on a server with a 1-thread pool (scans run
+///             on the connection thread);
+///   one CPU   server and clients share one CPU.  Spread over CPUs, a
+///             sub-millisecond round trip waits for an idle vCPU to be
+///             woken, and on the 4-vCPU reference VM that wait follows
+///             the neighbours' load: in interleaved pmu-audit runs the
+///             serve p99 read 0.6-8.7 ms spread, 0.56-0.62 ms on one CPU;
+///   cache     half the decoded working set of the catalog
+///             (decoded_working_set), so that eviction always happens.
+inline constexpr std::size_t kAnalystQueries = 1000;
+inline constexpr std::size_t kAnalysts = 2;
+inline constexpr std::size_t kServerWorkers = 1;
 
 struct AnalystQuery {
   QueryClass cls = QueryClass::kSelective;
@@ -165,10 +159,17 @@ struct AnalystQuery {
 /// of 1-3 blocks, full = whole-bundle group-by, materialize = one metric
 /// over a narrow sequence range, repeat = an exact repeat of one of the
 /// last 16 queries.
+/// `full_share` of the queries are full scans, the rest split equally
+/// over the other three classes.
 std::vector<AnalystQuery> make_query_mix(const std::vector<BundleShape>& bundles,
-                                         const QueryMix& mix,
+                                         std::size_t queries, double full_share,
                                          std::uint64_t seed,
                                          std::size_t* unique_specs);
+
+/// Bytes the block cache holds once every column the mix reads is
+/// decoded: per record, the sequence index, each group-by factor (a
+/// Value) and the metric (a double), as serve::column_bytes counts them.
+std::size_t decoded_working_set(const std::vector<BundleShape>& bundles);
 
 /// Runs one request locally through BundleQuery, exactly as the server
 /// would (same CSV writers).
@@ -192,15 +193,16 @@ struct AnalystOutcome {
 
 /// Starts a server over `catalog_root` (timed into setup_s), computes
 /// the expected response of every unique request with a local shadow
-/// run (outside the timed loop), then drives `queries` through
-/// mix.clients closed-loop clients and checks every served body
-/// byte-for-byte against the shadow.  `while_serving` (optional) runs
+/// run (outside the timed loop; repeats are run again, for their own
+/// exec time), then drives `queries` through kAnalysts closed-loop
+/// clients and checks every served body byte-for-byte against the
+/// shadow.  Server, clients and `while_serving` run on one CPU.  `while_serving` (optional) runs
 /// after the loop, before the server stops.
 AnalystOutcome run_analyst_phase(const std::string& catalog_root,
                                  const std::string& socket_path,
                                  const std::vector<BundleShape>& bundles,
                                  const std::vector<AnalystQuery>& queries,
-                                 std::size_t unique_specs, const QueryMix& mix,
+                                 std::size_t unique_specs,
                                  cal::core::WorkerPool& pool,
                                  const std::function<void()>& while_serving);
 

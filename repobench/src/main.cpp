@@ -8,8 +8,9 @@
 // --trace 0 reports the end-to-end metrics of untraced iterations.
 // --trace 1 alternates untraced and traced iterations, records
 // obs::trace spans from the benchmark's own layer wrappers on the
-// traced ones, writes the trace to <out>/ at exit, folds it into the
-// per-layer table and reports the per-layer metrics.
+// traced ones, drains the trace after each traced iteration into
+// <out>/, folds it into the per-layer table and reports the per-layer
+// metrics.
 //
 // The last stdout line is one JSON object:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
@@ -24,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -153,6 +155,7 @@ struct Iteration {
   IterationResult result;
   double wall_s = 0.0;
   bool traced = false;
+  std::vector<SpanEvent> spans;  ///< traced: the spans it recorded
 };
 
 // ---------------------------------------------------------------------
@@ -422,7 +425,19 @@ int run(const Args& args) {
       it.result.verdict = std::string("iteration failed: ") + e.what();
     }
     it.wall_s = seconds_since(t0);
-    if (traced) trace::stop();
+    if (traced) {
+      // Drain now, so the per-thread rings start every traced iteration
+      // empty and the run's length cannot fill them.
+      trace::stop();
+      const std::string path = args.out + "/trace-" + args.workload + "-" +
+                               std::to_string(args.seed) + "-it" +
+                               std::to_string(k) + ".json";
+      trace::flush_json_file(path);
+      std::ifstream in(path, std::ios::binary);
+      std::stringstream text;
+      text << in.rdbuf();
+      it.spans = parse_trace_json(text.str());
+    }
     fs::remove_all(env.dir);
     fs::remove(env.socket);
 
@@ -465,15 +480,14 @@ int run(const Args& args) {
     }
     const double overhead_pct =
         (ratio(median(traced_wall), median(untraced_wall)) - 1.0) * 100.0;
-    const std::string trace_path = args.out + "/trace-" + args.workload +
-                                   "-" + std::to_string(args.seed) + ".json";
-    trace::flush_json_file(trace_path);
     const std::uint64_t dropped = trace::dropped();
     tally.check(dropped == 0);  // the table needs every span
-    std::ifstream in(trace_path, std::ios::binary);
-    std::stringstream text;
-    text << in.rdbuf();
-    const TraceView tv(parse_trace_json(text.str()));
+    std::vector<SpanEvent> spans;
+    for (Iteration& it : its) {
+      spans.insert(spans.end(), std::make_move_iterator(it.spans.begin()),
+                   std::make_move_iterator(it.spans.end()));
+    }
+    const TraceView tv(std::move(spans));
     const std::vector<LayerRow> table = fold_layers(tv.spans);
     const double per = 1.0 / static_cast<double>(traced_count);
     print_table(table, per);
@@ -489,7 +503,8 @@ int run(const Args& args) {
     }
     tj << "]";
     table_json = tj.str();
-    std::cout << "trace: " << trace_path << "\n";
+    std::cout << "trace: " << args.out << "/trace-" << args.workload << "-"
+              << args.seed << "-it*.json\n";
   }
 
   metrics.print(std::cout);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <sstream>
 
 #include "benchlib/whitebox/mem_calibration.hpp"
@@ -126,6 +127,18 @@ bool loggp_recovered(const cal::benchlib::NetModel& model,
   return ok;
 }
 
+/// The analysts' phase over `shapes`, with the mix of harness.hpp.
+AnalystOutcome serve_analysts(const IterationEnv& env,
+                              const std::vector<BundleShape>& shapes,
+                              double full_share = 0.25,
+                              const std::function<void()>& while_serving = {}) {
+  std::size_t unique = 0;
+  const auto queries =
+      make_query_mix(shapes, kAnalystQueries, full_share, env.seed, &unique);
+  return run_analyst_phase(env.dir + "/catalog", env.socket, shapes, queries,
+                           unique, *env.pool, while_serving);
+}
+
 const std::vector<double> kNetBreakpoints = {16.0 * 1024, 32.0 * 1024};
 
 // --------------------------------------------------------------------
@@ -214,14 +227,7 @@ class MemSweep final : public Workload {
                             kBlockRecords,
                             {"size_bytes", "stride", "elem_bytes"},
                             "bandwidth_mbps"};
-    QueryMix mix;
-    mix.queries = 4000;
-    mix.clients = 2;
-    mix.server_workers = 2;
-    std::size_t unique = 0;
-    const auto queries = make_query_mix({shape}, mix, env.seed, &unique);
-    r.analyst = run_analyst_phase(env.dir + "/catalog", env.socket, {shape},
-                                  queries, unique, mix, *env.pool, {});
+    r.analyst = serve_analysts(env, {shape});
     r.tally.merge(r.analyst.tally);
     r.setup_s = setup_s + r.analyst.setup_s;
     return r;
@@ -254,23 +260,20 @@ class NetIngest final : public Workload {
 
       const std::size_t op_index = plan.factor_index("op");
       const std::size_t size_index = plan.factor_index("size_bytes");
-      const std::size_t runs = plan.size();
-      cal::Engine::Options options =
-          engine_options(env.seed ^ 0xC0FFEEu, 100e-6, env);
-      const std::size_t window = options.sink_batch;
-      const cal::Campaign campaign(std::move(plan),
-                                   cal::Engine({"time_us"}, options),
-                                   cal::Metadata::capture_build());
+      const cal::Campaign campaign(
+          std::move(plan),
+          cal::Engine({"time_us"},
+                      engine_options(env.seed ^ 0xC0FFEEu, 100e-6, env)),
+          cal::Metadata::capture_build());
       BbxWriterOptions bbx;
       bbx.shards = 4;
       bbx.block_records = kBlockRecords;
-      const bool ok = campaign_to_bundle(
-          campaign,
-          timed_net_factory(network, op_index, size_index, runs, window,
-                            std::min(env.pool->size(), runs), *env.probe),
-          bundle, bbx, r);
-      close_bursts(*env.probe);
-      if (!ok) return r;
+      if (!campaign_to_bundle(
+              campaign,
+              timed_net_factory(network, op_index, size_index, *env.probe),
+              bundle, bbx, r)) {
+        return r;
+      }
 
       const cal::RawTable table = read_bundle(bundle, env.pool.get());
       cal::benchlib::NetModel model;
@@ -284,14 +287,11 @@ class NetIngest final : public Workload {
 
     const BundleShape shape{"net", bundle, static_cast<std::size_t>(r.records),
                             kBlockRecords, {"op"}, "time_us"};
-    QueryMix mix;
-    mix.queries = 1000;
-    mix.weights = {0.40, 0.02, 0.33, 0.25};
-    mix.clients = 1;
-    std::size_t unique = 0;
-    const auto queries = make_query_mix({shape}, mix, env.seed, &unique);
-    r.analyst = run_analyst_phase(env.dir + "/catalog", env.socket, {shape},
-                                  queries, unique, mix, *env.pool, {});
+    // Full scans are 2% here, not 25%: a full group-by decodes all of
+    // this 10^6-record bundle (the cache holds half of it), and at 25%
+    // the 1000 queries took ~10 s of an ~18 s iteration on the 4-thread
+    // reference host, which left one measured iteration per run.
+    r.analyst = serve_analysts(env, {shape}, 0.02);
     r.tally.merge(r.analyst.tally);
     r.setup_s = setup_s + r.analyst.setup_s;
     return r;
@@ -332,23 +332,20 @@ class AnalystServe final : public Workload {
         const cal::sim::net::NetworkSim network(config);
         const std::size_t op_index = plan.factor_index("op");
         const std::size_t size_index = plan.factor_index("size_bytes");
-        const std::size_t runs = plan.size();
-        cal::Engine::Options options =
-            engine_options((env.seed + l) ^ 0xC0FFEEu, 100e-6, env);
-        const std::size_t window = options.sink_batch;
-        const cal::Campaign campaign(std::move(plan),
-                                     cal::Engine({"time_us"}, options),
-                                     cal::Metadata::capture_build());
+        const cal::Campaign campaign(
+            std::move(plan),
+            cal::Engine({"time_us"},
+                        engine_options((env.seed + l) ^ 0xC0FFEEu, 100e-6, env)),
+            cal::Metadata::capture_build());
         BbxWriterOptions bbx;
         bbx.shards = 4;
         bbx.block_records = kBlockRecords;
-        const bool ok = campaign_to_bundle(
-            campaign,
-            timed_net_factory(network, op_index, size_index, runs, window,
-                              std::min(env.pool->size(), runs), *env.probe),
-            catalog + "/" + names[l], bbx, r);
-        close_bursts(*env.probe);
-        if (!ok) return r;
+        if (!campaign_to_bundle(
+                campaign,
+                timed_net_factory(network, op_index, size_index, *env.probe),
+                catalog + "/" + names[l], bbx, r)) {
+          return r;
+        }
       }
     }
     const double build_s = seconds_since(build_t0);
@@ -359,15 +356,6 @@ class AnalystServe final : public Workload {
                                    static_cast<std::size_t>(r.records / 2),
                                    kBlockRecords, {"op"}, "time_us"});
     }
-    QueryMix mix;
-    mix.queries = 1000;
-    mix.weights = {0.35, 0.15, 0.25, 0.25};
-    // Below the decoded working set of the mix (two bundles' op, time_us
-    // and sequence columns), so full scans and fresh ranges evict.
-    mix.cache_bytes = 4u << 20;
-    std::size_t unique = 0;
-    const auto queries = make_query_mix(shapes, mix, env.seed, &unique);
-
     // The analyst's verdict, while the server is up: fetch the raw
     // myrinet observations over the wire and fit LogGP.
     cal::serve::Request fetch;
@@ -402,8 +390,7 @@ class AnalystServe final : public Workload {
       }
       fit_s = seconds_since(t0);
     };
-    r.analyst = run_analyst_phase(catalog, env.socket, shapes, queries, unique,
-                                  mix, *env.pool, verdict);
+    r.analyst = serve_analysts(env, shapes, 0.25, verdict);
     r.tally.merge(r.analyst.tally);
     if (fetched) {  // the verdict's response obeys the byte-identity oracle
       cal::query::ScanStats scan;
@@ -490,14 +477,7 @@ class PmuAudit final : public Workload {
 
     const BundleShape shape{"pmu", bundle, static_cast<std::size_t>(r.records),
                             kBlockRecords, {"size_bytes"}, "pmu.cycles"};
-    QueryMix mix;
-    mix.queries = 4000;
-    mix.clients = 2;
-    mix.server_workers = 2;
-    std::size_t unique = 0;
-    const auto queries = make_query_mix({shape}, mix, env.seed, &unique);
-    r.analyst = run_analyst_phase(env.dir + "/catalog", env.socket, {shape},
-                                  queries, unique, mix, *env.pool, {});
+    r.analyst = serve_analysts(env, {shape});
     r.tally.merge(r.analyst.tally);
     r.setup_s = setup_s + r.analyst.setup_s;
     return r;
