@@ -17,6 +17,15 @@ double median(std::vector<double> samples) {
   return 0.5 * (lower + upper);
 }
 
+double interquartile_mean(std::vector<double> samples) {
+  if (samples.empty()) return 0.0;
+  std::sort(samples.begin(), samples.end());
+  const std::size_t cut = samples.size() / 4;
+  double sum = 0.0;
+  for (std::size_t i = cut; i < samples.size() - cut; ++i) sum += samples[i];
+  return sum / static_cast<double>(samples.size() - 2 * cut);
+}
+
 namespace {
 
 /// 1-based nearest rank of percentile `level` among n samples.

@@ -4,7 +4,8 @@
 //
 //   * timing summaries: the median, plus the highest percentile of a
 //     fixed ladder that still has at least ten samples beyond it (a
-//     p99 out of 200 samples is one sample, not a percentile);
+//     p99 out of 200 samples is one sample, not a percentile), and the
+//     interquartile mean that folds a run's iterations into one figure;
 //   * interval unions, for self time = span minus the union of its
 //     children's intervals (children may overlap, and may run on other
 //     threads);
@@ -23,6 +24,13 @@ namespace repobench {
 /// Median of `samples` (mean of the middle pair for even counts); 0 for
 /// an empty input.
 double median(std::vector<double> samples);
+
+/// Interquartile mean: the mean of `samples` after dropping the lowest
+/// and the highest n/4 (rounded down); 0 for an empty input.  It folds
+/// a run's iterations into one figure.  Unlike the median it moves
+/// smoothly when the iterations fall into two modes (a slow and a fast
+/// host state), and unlike the mean one stalled iteration cannot move it.
+double interquartile_mean(std::vector<double> samples);
 
 /// Nearest-rank percentile (`level` in (0, 100]) of ascending `sorted`.
 double percentile_sorted(const std::vector<double>& sorted, double level);

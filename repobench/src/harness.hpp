@@ -110,7 +110,7 @@ std::uint64_t dir_bytes(const std::string& dir);
 std::uint64_t shard_bytes(const std::string& dir);
 
 // --------------------------------------------------------------------
-// Analyst phase: a closed loop of QueryClients against a QueryServer.
+// Analyst phase: a closed-loop QueryClient against a QueryServer.
 // --------------------------------------------------------------------
 
 enum class QueryClass { kSelective = 0, kFull = 1, kMaterialize = 2, kRepeat = 3 };
@@ -130,23 +130,39 @@ struct BundleShape {
 /// The one analyst traffic every workload serves.  Its shape is an
 /// assumption, not a measured trace: no served workload of the program
 /// is on record to derive it from.
-///   queries   1000 an iteration, the fewest whose p99 has 10 samples
-///             beyond it;
+///   queries   1000 a latency window, the fewest whose p99 has 10
+///             samples beyond it; one window an iteration, three on the
+///             small memory bundles (workloads.cpp says why);
 ///   classes   the four classes in equal shares, except where a
 ///             workload lowers the full-scan share for a measured cost
 ///             (net-ingest, see workloads.cpp);
-///   analysts  2 closed-loop clients, so requests overlap (queueing,
-///             coalescing), on a server with a 1-thread pool (scans run
-///             on the connection thread);
-///   one CPU   server and clients share one CPU.  Spread over CPUs, a
-///             sub-millisecond round trip waits for an idle vCPU to be
-///             woken, and on the 4-vCPU reference VM that wait follows
-///             the neighbours' load: in interleaved pmu-audit runs the
-///             serve p99 read 0.6-8.7 ms spread, 0.56-0.62 ms on one CPU;
+///   analysts  1 closed-loop client on a server with a 1-thread pool
+///             (scans run on the connection thread);
+///   one CPU   server and client share one CPU, a different one each
+///             iteration (the iteration's index modulo the CPUs the
+///             process may use);
 ///   cache     half the decoded working set of the catalog
 ///             (decoded_working_set), so that eviction always happens.
+/// Measured reasons, on the 4-vCPU reference VM:
+///   * spread over CPUs, a sub-millisecond round trip waits for an idle
+///     vCPU to be woken, a wait that follows the neighbours' load
+///     (interleaved pmu-audit runs: serve p99 0.6-8.7 ms spread over
+///     CPUs, 0.56-0.62 ms on one CPU);
+///   * two clients on one CPU wait out each other's queries: net-ingest
+///     serve_p50_ms read 3.1-4.1 ms over 5 seeds with 2 clients, 1.43-1.60
+///     ms with 1, and with 2 its 10-run spread went past its bound;
+///   * a client and server pair on every CPU at once (four servers,
+///     each with its own cache) did not steady the figures (pmu-audit
+///     serve_p50_ms IQR/median 0.17 over 8 seeds, against 0.21 over 5
+///     with one pair), but held more memory on net-ingest (iteration
+///     peak 750-850 MB against 570-660 MB) and, with all four vCPUs busy,
+///     let a busy
+///     host stretch the tail (pmu-audit serve_p99_ms up to 1.5 ms against
+///     0.21-0.25 ms quiet);
+///   * the CPUs run in fast and slow spells of ~0.3-1 s, and one CPU's
+///     spells can last longer than another's: moving the pair to the
+///     next CPU each iteration samples all of them.
 inline constexpr std::size_t kAnalystQueries = 1000;
-inline constexpr std::size_t kAnalysts = 2;
 inline constexpr std::size_t kServerWorkers = 1;
 
 struct AnalystQuery {
@@ -185,18 +201,35 @@ struct AnalystOutcome {
   double wall_s = 0.0;  ///< closed-loop phase only
   std::size_t queries = 0;
   double setup_s = 0.0;  ///< server start
+  double shadow_s = 0.0;  ///< local shadow runs (0 when the cache served)
   cal::query::ScanStats scan;  ///< summed over shadow runs
   cal::serve::BlockCache::Stats cache;
   cal::serve::QueryServer::Counters counters;
   Tally tally;  ///< one per query: kOk and byte-identical to the shadow
 };
 
-/// Starts a server over `catalog_root` (timed into setup_s), computes
-/// the expected response of every unique request with a local shadow
-/// run (outside the timed loop; repeats are run again, for their own
-/// exec time), then drives `queries` through kAnalysts closed-loop
-/// clients and checks every served body byte-for-byte against the
-/// shadow.  Server, clients and `while_serving` run on one CPU.  `while_serving` (optional) runs
+/// Content digest (64-bit FNV-1a) of every file under the bundles'
+/// directories, in path order.
+std::uint64_t bundles_digest(const std::vector<BundleShape>& bundles);
+
+/// The shadow's expected bodies, kept across the iterations of a run.
+/// An iteration rebuilds its bundles from the same seed, so they are
+/// byte-identical to the last iteration's (the digest checks it) and so
+/// are the local results: the shadow need not run again.
+struct ShadowCache {
+  std::uint64_t digest = 0;
+  std::vector<std::string> expected;  ///< by unique request index
+};
+
+/// Starts a server over `catalog_root` (timed into setup_s) and drives
+/// `queries` through one closed-loop client, checking every
+/// served body byte-for-byte against a local shadow run of the same
+/// request (outside the timed loop).  The shadow runs when `cache` holds
+/// no bodies for these bundles' digest, and on every traced iteration,
+/// whose shadow times (repeats are run again, for their own exec time)
+/// and scan statistics are the query layer's metrics.  Server, client
+/// and `while_serving` run on CPU `serve_turn` modulo the CPUs the
+/// process may use.  `while_serving` (optional) runs
 /// after the loop, before the server stops.
 AnalystOutcome run_analyst_phase(const std::string& catalog_root,
                                  const std::string& socket_path,
@@ -204,6 +237,7 @@ AnalystOutcome run_analyst_phase(const std::string& catalog_root,
                                  const std::vector<AnalystQuery>& queries,
                                  std::size_t unique_specs,
                                  cal::core::WorkerPool& pool,
+                                 ShadowCache& cache, std::size_t serve_turn,
                                  const std::function<void()>& while_serving);
 
 }  // namespace repobench

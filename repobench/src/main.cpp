@@ -17,8 +17,6 @@
 // and <out>/result-<workload>-<seed>-<trace>.json keeps the same record
 // with the host fingerprint and the per-layer table beside it.
 
-#include <sys/resource.h>
-
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -136,10 +134,20 @@ std::string host_json() {
   return out.str();
 }
 
+/// Restarts the kernel's count of the peak resident set (VmHWM) at the
+/// current resident set, so that peak_rss_mb() reads the peak since.
+void reset_peak_rss() { std::ofstream("/proc/self/clear_refs") << "5"; }
+
+/// Peak resident set (VmHWM) since the last reset_peak_rss(), in MB.
 double peak_rss_mb() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stod(line.substr(6)) / 1024.0;  // kB
+    }
+  }
+  return 0.0;
 }
 
 double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
@@ -154,6 +162,7 @@ constexpr std::size_t kLatencyWindow = 1000;
 struct Iteration {
   IterationResult result;
   double wall_s = 0.0;
+  double peak_rss_mb = 0.0;  ///< peak resident set during the iteration
   bool traced = false;
   std::vector<SpanEvent> spans;  ///< traced: the spans it recorded
 };
@@ -163,20 +172,19 @@ struct Iteration {
 // ---------------------------------------------------------------------
 
 void end_to_end_metrics(const std::vector<Iteration>& its, MetricSet& m) {
-  std::vector<double> setup, verdict, runs_per_s, bytes_per_record, qps, p50,
-      tail;
+  std::vector<double> setup, verdict, runs_per_s, bytes_per_record, rss, qps,
+      p50, tail;
   for (const Iteration& it : its) {
     const IterationResult& r = it.result;
     setup.push_back(r.setup_s);
+    rss.push_back(it.peak_rss_mb);
     verdict.push_back(r.verdict_s);
     runs_per_s.push_back(ratio(r.runs, r.campaign_s));
     bytes_per_record.push_back(ratio(r.bundle_bytes, r.records));
     qps.push_back(ratio(static_cast<double>(r.analyst.queries),
                         r.analyst.wall_s));
     // Latency windows of kLatencyWindow consecutive queries: each has a
-    // p50 and a tail with >= 10 samples beyond it (p99 at 1000), and the
-    // run reports the medians over its windows, so a host scheduling
-    // stall that hits one window cannot move the run's tail alone.
+    // p50 and a tail with >= 10 samples beyond it (p99 at 1000).
     const auto& rtt = r.analyst.rtt_ms;
     for (std::size_t w = 0; w + kLatencyWindow <= rtt.size();
          w += kLatencyWindow) {
@@ -192,14 +200,19 @@ void end_to_end_metrics(const std::vector<Iteration>& its, MetricSet& m) {
                 << " ms\n";
     }
   }
+  // Set-up is the median of the iterations' set-ups.  Every other figure
+  // is the interquartile mean over iterations (latencies: over windows):
+  // the host runs whole iterations in a faster or a slower state, and
+  // the median of such a run jumps between the two modes, while the IQM
+  // moves with their mix and one stalled iteration cannot move it.
   m.add("setup_s", median(setup), "s");
-  m.add("time_to_verdict_s", median(verdict), "s");
-  m.add("campaign_runs_per_s", median(runs_per_s), "1/s");
-  m.add("bundle_bytes_per_record", median(bytes_per_record), "B");
-  m.add("peak_rss_mb", peak_rss_mb(), "MB");
-  m.add("serve_qps", median(qps), "1/s");
-  m.add("serve_p50_ms", median(p50), "ms");
-  m.add("serve_p99_ms", median(tail), "ms");
+  m.add("time_to_verdict_s", interquartile_mean(verdict), "s");
+  m.add("campaign_runs_per_s", interquartile_mean(runs_per_s), "1/s");
+  m.add("bundle_bytes_per_record", interquartile_mean(bytes_per_record), "B");
+  m.add("peak_rss_mb", interquartile_mean(rss), "MB");
+  m.add("serve_qps", interquartile_mean(qps), "1/s");
+  m.add("serve_p50_ms", interquartile_mean(p50), "ms");
+  m.add("serve_p99_ms", interquartile_mean(tail), "ms");
 }
 
 // ---------------------------------------------------------------------
@@ -400,16 +413,19 @@ int run(const Args& args) {
 
   auto pool = std::make_shared<cal::core::WorkerPool>(4, "repobench");
   SimProbe probe(pool->size());
+  ShadowCache shadow;
   Tally tally;
   std::size_t next = 0;
   const auto run_iteration = [&](bool traced, const char* label) {
     const std::size_t k = next++;
     IterationEnv env;
     env.seed = args.seed;
+    env.index = k;
     env.dir = args.out + "/it" + std::to_string(k);
     env.socket = args.out + "/q" + std::to_string(k) + ".sock";
     env.pool = pool;
     env.probe = &probe;
+    env.shadow = &shadow;
     fs::remove_all(env.dir);
     fs::remove(env.socket);
     fs::create_directories(env.dir + "/catalog");
@@ -417,6 +433,7 @@ int run(const Args& args) {
     Iteration it;
     it.traced = traced;
     if (traced) trace::start();
+    reset_peak_rss();
     const auto t0 = SteadyClock::now();
     try {
       it.result = workload->iterate(env);
@@ -425,6 +442,7 @@ int run(const Args& args) {
       it.result.verdict = std::string("iteration failed: ") + e.what();
     }
     it.wall_s = seconds_since(t0);
+    it.peak_rss_mb = peak_rss_mb();
     if (traced) {
       // Drain now, so the per-thread rings start every traced iteration
       // empty and the run's length cannot fill them.
@@ -474,9 +492,12 @@ int run(const Args& args) {
   if (!args.traced) {
     end_to_end_metrics(its, metrics);
   } else {
+    // Walls without the shadow queries, which run on every traced
+    // iteration but only when the bundles change on untraced ones.
     std::vector<double> traced_wall, untraced_wall;
     for (const Iteration& it : its) {
-      (it.traced ? traced_wall : untraced_wall).push_back(it.wall_s);
+      (it.traced ? traced_wall : untraced_wall)
+          .push_back(it.wall_s - it.result.analyst.shadow_s);
     }
     const double overhead_pct =
         (ratio(median(traced_wall), median(untraced_wall)) - 1.0) * 100.0;

@@ -127,17 +127,26 @@ bool loggp_recovered(const cal::benchlib::NetModel& model,
   return ok;
 }
 
-/// The analysts' phase over `shapes`, with the mix of harness.hpp.
+/// The analysts' phase over `shapes`, with the mix of harness.hpp:
+/// `windows` latency windows of kAnalystQueries queries each.
 AnalystOutcome serve_analysts(const IterationEnv& env,
                               const std::vector<BundleShape>& shapes,
-                              double full_share = 0.25,
+                              std::size_t windows, double full_share = 0.25,
                               const std::function<void()>& while_serving = {}) {
   std::size_t unique = 0;
-  const auto queries =
-      make_query_mix(shapes, kAnalystQueries, full_share, env.seed, &unique);
+  const auto queries = make_query_mix(shapes, windows * kAnalystQueries,
+                                      full_share, env.seed, &unique);
   return run_analyst_phase(env.dir + "/catalog", env.socket, shapes, queries,
-                           unique, *env.pool, while_serving);
+                           unique, *env.pool, *env.shadow, env.index,
+                           while_serving);
 }
+
+/// Latency windows an iteration serves on the memory workloads, whose
+/// bundles are small: a 1000-query window there lasts ~0.1 s on the
+/// 4-vCPU reference host, shorter than the spells (~0.3-1 s) in which
+/// that host runs one thread fast or slow, so three windows let each
+/// iteration's analyst phase span more than one spell.
+constexpr std::size_t kSmallBundleWindows = 3;
 
 const std::vector<double> kNetBreakpoints = {16.0 * 1024, 32.0 * 1024};
 
@@ -227,7 +236,7 @@ class MemSweep final : public Workload {
                             kBlockRecords,
                             {"size_bytes", "stride", "elem_bytes"},
                             "bandwidth_mbps"};
-    r.analyst = serve_analysts(env, {shape});
+    r.analyst = serve_analysts(env, {shape}, kSmallBundleWindows);
     r.tally.merge(r.analyst.tally);
     r.setup_s = setup_s + r.analyst.setup_s;
     return r;
@@ -291,7 +300,7 @@ class NetIngest final : public Workload {
     // this 10^6-record bundle (the cache holds half of it), and at 25%
     // the 1000 queries took ~10 s of an ~18 s iteration on the 4-thread
     // reference host, which left one measured iteration per run.
-    r.analyst = serve_analysts(env, {shape}, 0.02);
+    r.analyst = serve_analysts(env, {shape}, 1, 0.02);
     r.tally.merge(r.analyst.tally);
     r.setup_s = setup_s + r.analyst.setup_s;
     return r;
@@ -390,7 +399,7 @@ class AnalystServe final : public Workload {
       }
       fit_s = seconds_since(t0);
     };
-    r.analyst = serve_analysts(env, shapes, 0.25, verdict);
+    r.analyst = serve_analysts(env, shapes, 1, 0.25, verdict);
     r.tally.merge(r.analyst.tally);
     if (fetched) {  // the verdict's response obeys the byte-identity oracle
       cal::query::ScanStats scan;
@@ -477,7 +486,7 @@ class PmuAudit final : public Workload {
 
     const BundleShape shape{"pmu", bundle, static_cast<std::size_t>(r.records),
                             kBlockRecords, {"size_bytes"}, "pmu.cycles"};
-    r.analyst = serve_analysts(env, {shape});
+    r.analyst = serve_analysts(env, {shape}, kSmallBundleWindows);
     r.tally.merge(r.analyst.tally);
     r.setup_s = setup_s + r.analyst.setup_s;
     return r;

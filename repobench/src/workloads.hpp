@@ -13,7 +13,7 @@
 //                  the sim/pmu counting seams.
 //
 // Inputs come from the seed alone; an iteration of a given seed repeats
-// the same inputs.
+// the same inputs, and so builds byte-identical bundles.
 
 #include <cstdint>
 #include <memory>
@@ -27,10 +27,12 @@ namespace repobench {
 /// What one iteration hands back to the run loop.
 struct IterationEnv {
   std::uint64_t seed = 0;
+  std::size_t index = 0;  ///< the iteration's place in the run, from 0
   std::string dir;     ///< fresh scratch directory of this iteration
   std::string socket;  ///< unix socket path for the iteration's server
   std::shared_ptr<cal::core::WorkerPool> pool;
   SimProbe* probe = nullptr;
+  ShadowCache* shadow = nullptr;  ///< kept across the run's iterations
 };
 
 struct IterationResult {

@@ -60,6 +60,22 @@ TEST(Percentile, OrderOfSamplesDoesNotMatter) {
   EXPECT_EQ(median({}), 0.0);
 }
 
+TEST(InterquartileMean, DropsAQuarterAtEachEnd) {
+  EXPECT_EQ(interquartile_mean({}), 0.0);
+  EXPECT_EQ(interquartile_mean({5.0}), 5.0);
+  EXPECT_EQ(interquartile_mean({1.0, 3.0}), 2.0);       // n/4 = 0: the mean
+  EXPECT_EQ(interquartile_mean({9.0, 1.0, 2.0}), 4.0);  // still the mean
+  EXPECT_EQ(interquartile_mean({100.0, 1.0, 3.0, 2.0}), 2.5);  // drops 1, 100
+  // Eight samples, two dropped at each end: one stall cannot move it.
+  EXPECT_EQ(interquartile_mean({1, 2, 3, 4, 5, 6, 7, 1e9}), 4.5);
+  // Two modes: the median jumps with one sample, the IQM moves by a step.
+  const std::vector<double> fast_heavy = {1, 1, 1, 1, 1, 2, 2, 2, 2};
+  const std::vector<double> slow_heavy = {1, 1, 1, 1, 2, 2, 2, 2, 2};
+  EXPECT_EQ(median(slow_heavy) - median(fast_heavy), 1.0);
+  EXPECT_NEAR(interquartile_mean(slow_heavy) - interquartile_mean(fast_heavy),
+              0.2, 1e-12);
+}
+
 TEST(Intervals, UnionCountsOverlapsOnce) {
   EXPECT_DOUBLE_EQ(union_length({}), 0.0);
   EXPECT_DOUBLE_EQ(union_length({{0, 2}, {1, 3}}), 3.0);          // overlap
