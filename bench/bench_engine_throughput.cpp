@@ -12,17 +12,10 @@
 //     scales with the worker count even on a single hardware thread.
 //   * "cpu_bound": pure arithmetic; scales only with physical cores and
 //     bounds the engine's sharding overhead from above.
-//
-// A third section times the small-window regime (sink_batch 32, so the
-// campaign is ~63 execution windows): the persistent worker pool wakes
-// its workers per window where the legacy mode (Options::reuse_pool =
-// false) spawned and joined fresh threads, and the delta is exactly the
-// per-window dispatch latency the pool removes.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -101,62 +94,6 @@ std::string csv_at(const Plan& plan, const MeasureFn& measure,
   return out.str();
 }
 
-/// Near-free measurement for the small-window latency section: with ~ns
-/// of work per run, per-window dispatch is the dominant cost.
-MeasureResult instant_measure(const PlannedRun& run, MeasureContext&) {
-  return MeasureResult{{run.values[0].as_real()}, 1e-6};
-}
-
-struct SmallWindowTiming {
-  std::size_t sink_batch = 0;
-  std::size_t windows = 0;
-  std::size_t threads = 0;
-  double pooled_runs_per_sec = 0.0;
-  double respawn_runs_per_sec = 0.0;
-  double pool_speedup = 0.0;
-  double per_window_saving_us = 0.0;
-};
-
-/// Times the campaign with the persistent pool vs the legacy
-/// spawn-per-window mode (best of `reps` to shed scheduler noise).
-SmallWindowTiming time_small_windows(const Plan& plan) {
-  SmallWindowTiming timing;
-  timing.sink_batch = 32;
-  timing.threads = 8;
-  timing.windows =
-      (plan.size() + timing.sink_batch - 1) / timing.sink_batch;
-
-  auto best_elapsed = [&](bool reuse_pool) {
-    Engine::Options options;
-    options.seed = 7;
-    options.threads = timing.threads;
-    options.sink_batch = timing.sink_batch;
-    options.reuse_pool = reuse_pool;
-    Engine engine({"m"}, options);
-    double best = 1e9;
-    for (int rep = 0; rep < 5; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const RawTable table = engine.run(plan, instant_measure);
-      const auto t1 = std::chrono::steady_clock::now();
-      best = std::min(best,
-                      std::chrono::duration<double>(t1 - t0).count());
-      if (table.size() != plan.size()) std::abort();
-    }
-    return best;
-  };
-
-  const double pooled_s = best_elapsed(true);
-  const double respawn_s = best_elapsed(false);
-  const auto n = static_cast<double>(plan.size());
-  timing.pooled_runs_per_sec = n / std::max(pooled_s, 1e-9);
-  timing.respawn_runs_per_sec = n / std::max(respawn_s, 1e-9);
-  timing.pool_speedup = timing.pooled_runs_per_sec /
-                        std::max(timing.respawn_runs_per_sec, 1e-9);
-  timing.per_window_saving_us =
-      (respawn_s - pooled_s) / static_cast<double>(timing.windows) * 1e6;
-  return timing;
-}
-
 void emit_json(std::ostream& out, const std::string& name,
                const std::vector<Timing>& timings) {
   out << "  \"" << name << "\": {\"threads\": [";
@@ -197,18 +134,15 @@ int main(int argc, char** argv) {
   check.expect(csv_at(plan, waiting_measure, 8) == seq_csv,
                "8-thread CSV bit-identical to sequential");
   {
-    // ...including in the small-window regime, pooled or respawning.
+    // ...including in the small-window regime (~63 execution windows).
     Engine::Options options;
     options.seed = 7;
     options.threads = 8;
     options.sink_batch = 32;
     std::ostringstream pooled;
     Engine({"m"}, options).run(plan, waiting_measure).write_csv(pooled);
-    options.reuse_pool = false;
-    std::ostringstream respawn;
-    Engine({"m"}, options).run(plan, waiting_measure).write_csv(respawn);
-    check.expect(pooled.str() == seq_csv && respawn.str() == seq_csv,
-                 "sink_batch=32 windows bit-identical, pooled and respawn");
+    check.expect(pooled.str() == seq_csv,
+                 "sink_batch=32 windows bit-identical to sequential");
   }
 
   std::vector<Timing> waiting, cpu_bound;
@@ -232,19 +166,6 @@ int main(int argc, char** argv) {
   check.expect(waiting_speedup >= 3.0,
                "8-thread waiting-profile throughput >= 3x sequential");
 
-  const SmallWindowTiming small = time_small_windows(plan);
-  std::cout << "\nSmall-window dispatch (sink_batch=" << small.sink_batch
-            << ", " << small.windows << " windows, " << small.threads
-            << " threads):\n  persistent pool "
-            << io::TextTable::num(small.pooled_runs_per_sec, 0)
-            << " runs/s vs spawn-per-window "
-            << io::TextTable::num(small.respawn_runs_per_sec, 0)
-            << " runs/s (" << io::TextTable::num(small.pool_speedup, 2)
-            << "x, saves " << io::TextTable::num(small.per_window_saving_us, 1)
-            << " us/window)\n";
-  check.expect(small.pool_speedup >= 1.1,
-               "persistent pool beats spawn-per-window on small windows");
-
   std::ofstream json(json_path);
   if (!json) {
     std::cerr << "cannot write " << json_path << "\n";
@@ -256,19 +177,6 @@ int main(int argc, char** argv) {
   emit_json(json, "waiting", waiting);
   json << ",\n";
   emit_json(json, "cpu_bound", cpu_bound);
-  json << ",\n";
-  {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "  \"small_window\": {\"sink_batch\": %zu, \"windows\": "
-                  "%zu, \"threads\": %zu, \"pooled_runs_per_sec\": %.1f, "
-                  "\"respawn_runs_per_sec\": %.1f, \"pool_speedup\": %.2f, "
-                  "\"per_window_saving_us\": %.1f}",
-                  small.sink_batch, small.windows, small.threads,
-                  small.pooled_runs_per_sec, small.respawn_runs_per_sec,
-                  small.pool_speedup, small.per_window_saving_us);
-    json << buf;
-  }
   json << "\n}\n";
   std::cout << "Wrote " << json_path << "\n";
 

@@ -140,39 +140,15 @@ class WelfordCells {
   std::vector<Acc> cells_;
 };
 
-/// The pool a parallel call executes its windows on.  Three modes:
-/// a shared long-lived pool (Options::pool), a pool owned for the
-/// duration of the call (Options::reuse_pool, the default), or -- the
-/// legacy behavior kept for latency A/B benches -- a fresh pool per
-/// window.
-class PoolLease {
- public:
-  PoolLease(const Engine::Options& options, std::size_t threads)
-      : threads_(threads) {
-    if (options.pool) {
-      pool_ = options.pool.get();
-    } else if (options.reuse_pool) {
-      owned_ = std::make_unique<core::WorkerPool>(threads, "cal-engine");
-      pool_ = owned_.get();
-    }
-  }
-
-  /// The pool for the next window; in spawn-per-window mode the
-  /// previous window's pool is joined and torn down *before* the new
-  /// one spawns, so thread counts never momentarily double and each
-  /// window's timing charges its own spawn + join.
-  core::WorkerPool& next_window_pool() {
-    if (pool_ != nullptr) return *pool_;
-    owned_.reset();
-    owned_ = std::make_unique<core::WorkerPool>(threads_, "cal-window");
-    return *owned_;
-  }
-
- private:
-  std::size_t threads_;
-  core::WorkerPool* pool_ = nullptr;
-  std::unique_ptr<core::WorkerPool> owned_;
-};
+/// The pool a parallel call executes its windows on: the shared
+/// Options::pool when set, else a pool held in `owned` for the call.
+core::WorkerPool& call_pool(const Engine::Options& options,
+                            std::size_t threads,
+                            std::unique_ptr<core::WorkerPool>& owned) {
+  if (options.pool) return *options.pool;
+  owned = std::make_unique<core::WorkerPool>(threads, "cal-engine");
+  return *owned;
+}
 
 /// Closes `sink` during unwinding if the campaign failed before the
 /// engine could close it normally; errors from this best-effort close
@@ -379,7 +355,8 @@ void Engine::run_range(const Plan& plan, const MeasureFactory& factory,
   // windows.  The resident state is one window of results + one batch of
   // records, no matter how large the campaign is.
   const std::vector<MeasureFn> measures = build_measures(factory, threads);
-  PoolLease lease(options_, threads);
+  std::unique_ptr<core::WorkerPool> owned_pool;
+  core::WorkerPool& pool = call_pool(options_, threads, owned_pool);
   Rng engine_rng(options_.seed);
   engine_rng.discard(first);
   double now = options_.start_time_s;
@@ -392,7 +369,7 @@ void Engine::run_range(const Plan& plan, const MeasureFactory& factory,
     const auto window_t0 = SteadyClock::now();
     {
       CAL_TIME_SCOPE("engine.window_seconds");
-      execute_window(lease.next_window_pool(), order, begin, end, seeds,
+      execute_window(pool, order, begin, end, seeds,
                      /*sequence_is_position=*/false, measures, results,
                      stats != nullptr ? &worker_busy_s : nullptr);
     }
@@ -488,14 +465,15 @@ OpaqueSummary Engine::run_opaque(const Plan& plan,
                                     : options_.sink_batch,
         1);
     const std::vector<MeasureFn> measures = build_measures(factory, threads);
-    PoolLease lease(options_, threads);
+    std::unique_ptr<core::WorkerPool> owned_pool;
+    core::WorkerPool& pool = call_pool(options_, threads, owned_pool);
     Rng engine_rng(options_.seed);
     std::vector<std::uint64_t> seeds;
     std::vector<MeasureResult> results;
     for (std::size_t begin = 0; begin < order.size(); begin += window) {
       const std::size_t end = std::min(begin + window, order.size());
       draw_seeds(engine_rng, end - begin, seeds);
-      execute_window(lease.next_window_pool(), order, begin, end, seeds,
+      execute_window(pool, order, begin, end, seeds,
                      /*sequence_is_position=*/true, measures, results);
       for (std::size_t k = 0; k < end - begin; ++k) {
         cells.add(order[begin + k], results[k].metrics);

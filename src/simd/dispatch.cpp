@@ -23,43 +23,31 @@ const Kernels kScalarTable = {
     detail::mask_count_scalar,
 };
 
-const Kernels kSse42Table = {
-    detail::delta_varint_decode_sse42,
-    detail::crc32_slice8,
+// CALIPERS_SIMD_AVX2 is defined when the build compiles kernels_avx2.cpp
+// (the compiler accepts -mavx2 -mpclmul); without it only scalar exists.
+#if defined(CALIPERS_SIMD_AVX2)
+const Kernels kAvx2Table = {
+    detail::delta_varint_decode_avx2,
+    detail::crc32_clmul,
     detail::lz_match_copy_chunked,
     detail::f64le_decode_bulk,
-    detail::cmp_mask_f64_sse42,
-    detail::cmp_mask_i64_sse42,
-    detail::welford_fold_sse42,
-    detail::mask_and_sse42,
-    detail::mask_or_sse42,
-    detail::mask_not_sse42,
-    detail::mask_count_sse42,
+    detail::cmp_mask_f64_avx2,
+    detail::cmp_mask_i64_avx2,
+    detail::welford_fold_avx2,
+    detail::mask_and_avx2,
+    detail::mask_or_avx2,
+    detail::mask_not_avx2,
+    detail::mask_count_avx2,
 };
+#endif
 
-/// Assembled at startup: avx2 everywhere, but the CLMUL CRC only when
-/// the CPU actually has PCLMULQDQ (AVX2 does not imply it).
-Kernels make_avx2_table(bool have_pclmul) {
-  Kernels k = {
-      detail::delta_varint_decode_avx2,
-      have_pclmul ? detail::crc32_clmul : detail::crc32_slice8,
-      detail::lz_match_copy_chunked,
-      detail::f64le_decode_bulk,
-      detail::cmp_mask_f64_avx2,
-      detail::cmp_mask_i64_avx2,
-      detail::welford_fold_avx2,
-      detail::mask_and_avx2,
-      detail::mask_or_avx2,
-      detail::mask_not_avx2,
-      detail::mask_count_avx2,
-  };
-  return k;
-}
-
+/// The avx2 table's CRC needs PCLMULQDQ, which AVX2 does not imply: a
+/// CPU with one but not the other runs scalar.
 Level probe_best() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return Level::kSse42;
+#if defined(CALIPERS_SIMD_AVX2)
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul")) {
+    return Level::kAvx2;
+  }
 #endif
   return Level::kScalar;
 }
@@ -71,18 +59,9 @@ Level clamp(Level level) noexcept {
 }
 
 const Kernels& table_for(Level level) noexcept {
-  static const Kernels avx2_table = make_avx2_table(
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_cpu_supports("pclmul")
-#else
-      false
+#if defined(CALIPERS_SIMD_AVX2)
+  if (level == Level::kAvx2) return kAvx2Table;
 #endif
-  );
-  switch (level) {
-    case Level::kScalar: return kScalarTable;
-    case Level::kSse42: return kSse42Table;
-    case Level::kAvx2: return avx2_table;
-  }
   return kScalarTable;
 }
 
@@ -113,7 +92,6 @@ std::atomic<Level>& active_level_state() noexcept {
 const char* to_string(Level level) noexcept {
   switch (level) {
     case Level::kScalar: return "scalar";
-    case Level::kSse42: return "sse42";
     case Level::kAvx2: return "avx2";
   }
   return "?";
@@ -121,7 +99,6 @@ const char* to_string(Level level) noexcept {
 
 bool parse_level(const std::string& name, Level* out) noexcept {
   if (name == "scalar") { *out = Level::kScalar; return true; }
-  if (name == "sse42") { *out = Level::kSse42; return true; }
   if (name == "avx2") { *out = Level::kAvx2; return true; }
   return false;
 }

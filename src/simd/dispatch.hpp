@@ -6,22 +6,24 @@
 // predicate compare loops, Welford folds -- run through a table of
 // function pointers selected once at startup by CPUID probe:
 //
-//   scalar   faithful ports of the original byte-at-a-time loops
-//   sse42    16-byte varint scanning, slice-by-8 CRC, chunked copies
-//   avx2     32-byte variants plus PCLMULQDQ-folded CRC and vector
-//            compare kernels
+//   scalar   faithful ports of the original byte-at-a-time loops; the
+//            reference every other level is tested against
+//   avx2     32-byte varint scanning, PCLMULQDQ-folded CRC, chunked
+//            copies, vector compare and mask kernels (needs AVX2 *and*
+//            PCLMULQDQ; a CPU without both runs scalar)
 //
-// The invariant that keeps the tiers honest: every kernel produces
+// The invariant that keeps the levels honest: every kernel produces
 // byte-identical output at every level.  Integer kernels are exact by
 // construction; the floating-point kernels either perform no arithmetic
 // (compares, f64 decode) or keep the exact scalar IEEE recurrence and
 // vectorize only the skipping of masked-off runs (welford_fold).  The
 // kernel translation units are compiled with -ffp-contract=off so no
-// tier silently fuses a multiply-add the others do not.
+// level silently fuses a multiply-add the other does not.
 //
-// `CAL_SIMD=scalar|sse42|avx2` pins the level from the environment
-// (clamped to what the CPU supports); set_level() is the same hook
-// in-process for tests and benchmarks.
+// `CAL_SIMD=scalar|avx2` pins the level from the environment (clamped
+// to what the CPU supports; an unknown value falls back to the probed
+// best); set_level() is the same hook in-process for tests and
+// benchmarks.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,11 +32,11 @@
 
 namespace cal::simd {
 
-enum class Level : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kAvx2 = 1 };
 
 const char* to_string(Level level) noexcept;
 
-/// Parses "scalar" / "sse42" / "avx2" (the CAL_SIMD vocabulary).
+/// Parses "scalar" / "avx2" (the CAL_SIMD vocabulary).
 bool parse_level(const std::string& name, Level* out) noexcept;
 
 /// Comparison ops of the compare kernels.  Doubles follow IEEE

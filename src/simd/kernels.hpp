@@ -3,13 +3,12 @@
 // units and dispatch.cpp.  Not part of the public simd surface.
 //
 // The inline helpers here are the single definition of the per-element
-// semantics every level must reproduce: one varint's decode rules, one
-// IEEE compare, one Welford push.  Each level's vector code reduces to
+// semantics both levels must reproduce: one varint's decode rules, one
+// IEEE compare, one Welford push.  The avx2 vector code reduces to
 // calling these on the elements it could not handle wholesale, so the
 // byte-identity guarantee falls out of sharing the definitions rather
 // than of careful duplication.
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -80,10 +79,6 @@ inline void welford_push(WelfordBatch& acc, double x) {
   acc.m2 += delta * (x - acc.mean);
 }
 
-/// The bytewise IEEE CRC-32 table (lazily built once); the slice-by-8
-/// tier derives its wider tables from it.
-const std::array<std::uint32_t, 256>& crc32_byte_table();
-
 // --- scalar level (kernels_scalar.cpp): the original byte loops -------------
 std::size_t delta_varint_decode_scalar(const unsigned char* data,
                                        std::size_t size, std::size_t n,
@@ -103,26 +98,9 @@ void mask_or_scalar(char* dst, const char* src, std::size_t n);
 void mask_not_scalar(char* mask, std::size_t n);
 std::size_t mask_count_scalar(const char* mask, std::size_t n);
 
-// --- sse42 level (kernels_sse42.cpp, -msse4.2) ------------------------------
-std::size_t delta_varint_decode_sse42(const unsigned char* data,
-                                      std::size_t size, std::size_t n,
-                                      std::uint64_t* out);
-std::uint32_t crc32_slice8(const void* data, std::size_t size,
-                           std::uint32_t seed);
+// --- avx2 level (kernels_avx2.cpp, -mavx2 -mpclmul) -------------------------
 void lz_match_copy_chunked(char* dst, std::size_t offset, std::size_t len);
 void f64le_decode_bulk(const void* src, std::size_t n, double* out);
-void cmp_mask_f64_sse42(const void* values, std::size_t n, Cmp op,
-                        double lit, char* mask, bool refine);
-void cmp_mask_i64_sse42(const std::int64_t* values, std::size_t n, Cmp op,
-                        std::int64_t lit, char* mask, bool refine);
-void welford_fold_sse42(const double* values, const char* mask,
-                        std::size_t n, WelfordBatch* acc);
-void mask_and_sse42(char* dst, const char* src, std::size_t n);
-void mask_or_sse42(char* dst, const char* src, std::size_t n);
-void mask_not_sse42(char* mask, std::size_t n);
-std::size_t mask_count_sse42(const char* mask, std::size_t n);
-
-// --- avx2 level (kernels_avx2.cpp, -mavx2 -mpclmul) -------------------------
 std::size_t delta_varint_decode_avx2(const unsigned char* data,
                                      std::size_t size, std::size_t n,
                                      std::uint64_t* out);

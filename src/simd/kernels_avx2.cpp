@@ -1,20 +1,19 @@
 // AVX2 kernel tier: 32-byte varint scanning, PCLMULQDQ-folded CRC-32
 // (the Intel "Fast CRC Computation Using PCLMULQDQ" reduction over the
-// reflected IEEE polynomial), 4-lane compare kernels, and 32-byte mask
-// combinators.  Compiled with -mavx2 -mpclmul -ffp-contract=off.
+// reflected IEEE polynomial), chunked LZ match copies, bulk f64 column
+// decode, 4-lane compare kernels, and 32-byte mask combinators.
+// Compiled with -mavx2 -mpclmul -ffp-contract=off, and only when the
+// compiler accepts those flags (CMakeLists.txt); dispatch selects this
+// tier only on CPUs with both AVX2 and PCLMULQDQ.
+
+#include <immintrin.h>
 
 #include <bit>
 #include <cstring>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "simd/kernels.hpp"
 
 namespace cal::simd::detail {
-
-#if defined(__AVX2__)
 
 std::size_t delta_varint_decode_avx2(const unsigned char* data,
                                      std::size_t size, std::size_t n,
@@ -54,8 +53,6 @@ std::size_t delta_varint_decode_avx2(const unsigned char* data,
   }
   return pos;
 }
-
-#if defined(__PCLMUL__)
 
 namespace {
 
@@ -161,23 +158,43 @@ std::uint32_t crc32_clmul_raw(const unsigned char* buf, std::size_t len,
 std::uint32_t crc32_clmul(const void* data, std::size_t size,
                           std::uint32_t seed) {
   // The folded body needs >= 64 bytes and eats whole 16-byte chunks;
-  // route the rest (small buffers, tails) through slice-by-8.
-  if (size < 64) return crc32_slice8(data, size, seed);
+  // the rest (buffers under 64 bytes, tails of at most 15) goes through
+  // the bytewise scalar loop.
+  if (size < 64) return crc32_scalar(data, size, seed);
   const auto* p = static_cast<const unsigned char*>(data);
   const std::size_t folded = size & ~static_cast<std::size_t>(15);
   std::uint32_t raw = seed ^ 0xFFFFFFFFu;
   raw = crc32_clmul_raw(p, folded, raw);
-  return crc32_slice8(p + folded, size - folded, raw ^ 0xFFFFFFFFu);
+  return crc32_scalar(p + folded, size - folded, raw ^ 0xFFFFFFFFu);
 }
 
-#else  // !__PCLMUL__
-
-std::uint32_t crc32_clmul(const void* data, std::size_t size,
-                          std::uint32_t seed) {
-  return crc32_slice8(data, size, seed);
+void lz_match_copy_chunked(char* dst, std::size_t offset, std::size_t len) {
+  if (offset >= len) {
+    // Non-overlapping: one straight copy.
+    std::memcpy(dst, dst - offset, len);
+    return;
+  }
+  // Overlapping back-reference: the match replicates a period-`offset`
+  // pattern.  Seed one period, then double the filled prefix -- each
+  // copy's source and destination are disjoint, and every copy starts
+  // at a multiple of the period, so replication semantics are
+  // preserved while copies run chunk-at-a-time.
+  std::memcpy(dst, dst - offset, offset);
+  std::size_t filled = offset;
+  while (filled < len) {
+    const std::size_t chunk = filled < len - filled ? filled : len - filled;
+    std::memcpy(dst + filled, dst, chunk);
+    filled += chunk;
+  }
 }
 
-#endif  // __PCLMUL__
+void f64le_decode_bulk(const void* src, std::size_t n, double* out) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, src, n * sizeof(double));
+  } else {
+    f64le_decode_scalar(src, n, out);
+  }
+}
 
 namespace {
 
@@ -371,41 +388,5 @@ std::size_t mask_count_avx2(const char* mask, std::size_t n) {
   for (; i < n; ++i) count += mask[i] != 0;
   return count;
 }
-
-#else  // !__AVX2__: the tier still links, delegating down.
-
-std::size_t delta_varint_decode_avx2(const unsigned char* data,
-                                     std::size_t size, std::size_t n,
-                                     std::uint64_t* out) {
-  return delta_varint_decode_sse42(data, size, n, out);
-}
-std::uint32_t crc32_clmul(const void* data, std::size_t size,
-                          std::uint32_t seed) {
-  return crc32_slice8(data, size, seed);
-}
-void cmp_mask_f64_avx2(const void* values, std::size_t n, Cmp op,
-                       double lit, char* mask, bool refine) {
-  cmp_mask_f64_sse42(values, n, op, lit, mask, refine);
-}
-void cmp_mask_i64_avx2(const std::int64_t* values, std::size_t n, Cmp op,
-                       std::int64_t lit, char* mask, bool refine) {
-  cmp_mask_i64_sse42(values, n, op, lit, mask, refine);
-}
-void welford_fold_avx2(const double* values, const char* mask,
-                       std::size_t n, WelfordBatch* acc) {
-  welford_fold_sse42(values, mask, n, acc);
-}
-void mask_and_avx2(char* dst, const char* src, std::size_t n) {
-  mask_and_sse42(dst, src, n);
-}
-void mask_or_avx2(char* dst, const char* src, std::size_t n) {
-  mask_or_sse42(dst, src, n);
-}
-void mask_not_avx2(char* mask, std::size_t n) { mask_not_sse42(mask, n); }
-std::size_t mask_count_avx2(const char* mask, std::size_t n) {
-  return mask_count_sse42(mask, n);
-}
-
-#endif  // __AVX2__
 
 }  // namespace cal::simd::detail
