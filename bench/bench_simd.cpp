@@ -7,12 +7,11 @@
 // the scalar tier on the checksum and compare kernels that dominate the
 // bbx read path.
 //
-// Two block-shaped rows sit next to the bulk ones: a 4096-record column
-// of single-byte deltas (the bbx sequence/cell column shape) for the
-// varint decoder, and a 4096-record Welford fold under a 1%-dense mask.
-// They are the shapes the avx2 varint and Welford kernels exist for; the
-// bulk rows (multi-byte random walk, 50% mask) are where scalar ties or
-// wins.
+// A block-shaped varint row sits next to the bulk one: a 4096-record
+// column of single-byte deltas, the bbx sequence/cell column shape the
+// avx2 decoder exists for.  The bulk row (multi-byte random walk) is
+// where scalar ties or wins.  welford_fold is the scalar kernel at every
+// level; its row is kept as a cross-level identity check.
 //
 //   bench_simd [json-path] [--smoke]
 //
@@ -151,8 +150,6 @@ int main(int argc, char** argv) {
     v = step_acc;
   }
   const std::string block_varints = encode_deltas(small_steps);
-  std::vector<char> sparse_mask(block);
-  for (auto& m : sparse_mask) m = static_cast<char>(rng() % 100 == 0);
 
   bench::Checker check;
   std::vector<KernelRow> rows = {
@@ -166,7 +163,6 @@ int main(int argc, char** argv) {
       {"mask_count", static_cast<double>(n), {}},
       {"delta_varint_decode_4k_1byte",
        static_cast<double>(block_varints.size()), {}},
-      {"welford_fold_4k_mask1pct", static_cast<double>(block * 8), {}},
   };
 
   // Scalar outputs are the reference every other level must match byte
@@ -177,7 +173,7 @@ int main(int argc, char** argv) {
   std::vector<char> ref_lz, out_lz(bytes.size());
   std::vector<double> ref_f64, out_f64(n);
   std::vector<char> ref_cmp_f64, ref_cmp_i64, out_cmp(n);
-  simd::WelfordBatch ref_wf, ref_sparse_wf;
+  simd::WelfordBatch ref_wf;
   std::size_t ref_count = 0;
 
   volatile std::uint64_t sink = 0;  // defeats dead-code elimination
@@ -276,19 +272,9 @@ int main(int argc, char** argv) {
           block_varints.size(), block, out_block_decode.data());
     }, block_reps) / 1e6);
 
-    // block-shaped Welford fold under a 1%-dense mask
-    simd::WelfordBatch sparse_wf;
-    k.welford_fold(doubles.data(), sparse_mask.data(), block, &sparse_wf);
-    rows[9].mbps.push_back(rows[9].bytes / time_loop([&] {
-      simd::WelfordBatch tmp;
-      k.welford_fold(doubles.data(), sparse_mask.data(), block, &tmp);
-      sink = sink + tmp.n;
-    }, block_reps) / 1e6);
-
     if (li == 0) {
       ref_decode = out_decode;
       ref_block_decode = out_block_decode;
-      ref_sparse_wf = sparse_wf;
       ref_crc = crc;
       ref_lz = out_lz;
       ref_f64 = out_f64;
@@ -310,9 +296,6 @@ int main(int argc, char** argv) {
       check.expect(count + combo_count == ref_count, tag + "mask kernels");
       check.expect(out_block_decode == ref_block_decode,
                    tag + "delta_varint_decode (block, 1-byte deltas)");
-      check.expect(std::memcmp(&sparse_wf, &ref_sparse_wf,
-                               sizeof sparse_wf) == 0,
-                   tag + "welford_fold (block, 1% mask)");
     }
   }
 

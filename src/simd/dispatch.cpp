@@ -33,7 +33,7 @@ const Kernels kAvx2Table = {
     detail::f64le_decode_bulk,
     detail::cmp_mask_f64_avx2,
     detail::cmp_mask_i64_avx2,
-    detail::welford_fold_avx2,
+    detail::welford_fold_scalar,  // one fold at every level
     detail::mask_and_avx2,
     detail::mask_or_avx2,
     detail::mask_not_avx2,

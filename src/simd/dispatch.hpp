@@ -14,10 +14,9 @@
 //
 // The invariant that keeps the levels honest: every kernel produces
 // byte-identical output at every level.  Integer kernels are exact by
-// construction; the floating-point kernels either perform no arithmetic
-// (compares, f64 decode) or keep the exact scalar IEEE recurrence and
-// vectorize only the skipping of masked-off runs (welford_fold).  The
-// kernel translation units are compiled with -ffp-contract=off so no
+// construction; the floating-point kernels perform no arithmetic
+// (compares, f64 decode), and welford_fold is the scalar recurrence at
+// every level.  The kernel translation units are compiled with -ffp-contract=off so no
 // level silently fuses a multiply-add the other does not.
 //
 // `CAL_SIMD=scalar|avx2` pins the level from the environment (clamped
@@ -93,9 +92,8 @@ struct Kernels {
 
   /// Folds values[i] (where mask[i]; all records when mask == nullptr)
   /// into `acc` in index order with the exact scalar Welford + extrema
-  /// recurrence.  The arithmetic is identical at every level; vector
-  /// units only skip masked-off runs, so results are bit-identical
-  /// across levels by construction.
+  /// recurrence.  Every level runs the scalar fold: it serves only
+  /// ungrouped masked aggregates, too rare to pay for a vector one.
   void (*welford_fold)(const double* values, const char* mask,
                        std::size_t n, WelfordBatch* acc);
 

@@ -67,18 +67,6 @@ inline bool cmp_i64(std::int64_t a, Cmp op, std::int64_t b) {
   return false;
 }
 
-/// The exact per-element recurrence of MetricAcc::add + stats::Welford:
-/// every level folds surviving elements through this, in index order.
-inline void welford_push(WelfordBatch& acc, double x) {
-  acc.sum += x;
-  acc.min = x < acc.min ? x : acc.min;  // std::min(min, x): NaN keeps min
-  acc.max = x > acc.max ? x : acc.max;
-  ++acc.n;
-  const double delta = x - acc.mean;
-  acc.mean += delta / static_cast<double>(acc.n);
-  acc.m2 += delta * (x - acc.mean);
-}
-
 // --- scalar level (kernels_scalar.cpp): the original byte loops -------------
 std::size_t delta_varint_decode_scalar(const unsigned char* data,
                                        std::size_t size, std::size_t n,
@@ -110,8 +98,6 @@ void cmp_mask_f64_avx2(const void* values, std::size_t n, Cmp op,
                        double lit, char* mask, bool refine);
 void cmp_mask_i64_avx2(const std::int64_t* values, std::size_t n, Cmp op,
                        std::int64_t lit, char* mask, bool refine);
-void welford_fold_avx2(const double* values, const char* mask,
-                       std::size_t n, WelfordBatch* acc);
 void mask_and_avx2(char* dst, const char* src, std::size_t n);
 void mask_or_avx2(char* dst, const char* src, std::size_t n);
 void mask_not_avx2(char* mask, std::size_t n);

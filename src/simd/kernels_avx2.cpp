@@ -311,29 +311,6 @@ void cmp_mask_i64_avx2(const std::int64_t* values, std::size_t n, Cmp op,
   }
 }
 
-void welford_fold_avx2(const double* values, const char* mask,
-                       std::size_t n, WelfordBatch* acc) {
-  if (mask == nullptr) {
-    welford_fold_scalar(values, nullptr, n, acc);
-    return;
-  }
-  // Vectorized skipping only: one testz answers "any survivor in these
-  // 32 records"; survivors fold through the exact scalar recurrence in
-  // index order, so the result is bit-identical at every level.
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i m =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    if (_mm256_testz_si256(m, m)) continue;
-    for (std::size_t j = 0; j < 32; ++j) {
-      if (mask[i + j]) welford_push(*acc, values[i + j]);
-    }
-  }
-  for (; i < n; ++i) {
-    if (mask[i]) welford_push(*acc, values[i]);
-  }
-}
-
 void mask_and_avx2(char* dst, const char* src, std::size_t n) {
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {

@@ -40,6 +40,17 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
+/// The exact per-element recurrence of MetricAcc::add + stats::Welford.
+void welford_push(WelfordBatch& acc, double x) {
+  acc.sum += x;
+  acc.min = x < acc.min ? x : acc.min;  // std::min(min, x): NaN keeps min
+  acc.max = x > acc.max ? x : acc.max;
+  ++acc.n;
+  const double delta = x - acc.mean;
+  acc.mean += delta / static_cast<double>(acc.n);
+  acc.m2 += delta * (x - acc.mean);
+}
+
 }  // namespace
 
 std::uint32_t crc32_scalar(const void* data, std::size_t size,
