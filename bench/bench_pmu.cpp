@@ -81,11 +81,11 @@ double disabled_seam_marginal_ns(std::size_t n, int reps) {
   double seam_s = 1e9;
   for (int r = 0; r < reps; ++r) {
     auto t0 = std::chrono::steady_clock::now();
-    g_sink += walk_base(values.data(), n);
+    g_sink = g_sink + walk_base(values.data(), n);
     base_s = std::min(base_s, seconds_since(t0));
     sim::pmu::PmuFile* pmu = g_seam;  // runtime null, as in a real pass
     t0 = std::chrono::steady_clock::now();
-    g_sink += walk_seam(values.data(), n, pmu);
+    g_sink = g_sink + walk_seam(values.data(), n, pmu);
     seam_s = std::min(seam_s, seconds_since(t0));
   }
   return std::max(seam_s - base_s, 0.0) * 1e9 / static_cast<double>(n);

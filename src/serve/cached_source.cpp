@@ -81,13 +81,11 @@ ColumnSet set_of(const std::vector<std::uint32_t>& ids, std::size_t n_factors,
 
 /// Per-block bookkeeping of one scan.
 struct BlockWork {
-  std::size_t ordinal = 0;  ///< position within the caller's block list
-  std::size_t block = 0;    ///< manifest block index
+  std::size_t block = 0;           ///< manifest block index
   std::vector<std::uint32_t> ids;  ///< every column the scan needs
-  /// Resolved columns, parallel to `ids` (null until known).
+  /// Columns, parallel to `ids` (null until cached or decoded).
   std::vector<std::shared_ptr<const CachedColumn>> cols;
-  std::vector<std::uint32_t> owned;    ///< ids this scan must decode
-  std::vector<std::uint32_t> pending;  ///< ids another scan is decoding
+  std::vector<std::uint32_t> missing;  ///< ids the cache did not hold
 };
 
 }  // namespace
@@ -116,165 +114,60 @@ void CachingBlockSource::scan(
     return d;
   };
 
-  // Phase A: claim every (block, column) against the cache.  Sequential
-  // and non-blocking, so two scans claiming in opposite orders cannot
-  // deadlock -- ownership is decided instantly, waiting happens only in
-  // phase C, after this scan has resolved everything it owns.
+  // Look up every (block, column).
   std::vector<BlockWork> work(blocks.size());
-  std::vector<std::size_t> ready;     // fully cached: serve immediately
-  std::vector<std::size_t> decoding;  // has owned columns: needs the shard
-  std::vector<std::size_t> waiting;   // pending columns only
+  std::vector<std::size_t> ready;     // fully cached: no shard access
+  std::vector<std::size_t> decoding;  // has columns the cache lacks
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     BlockWork& w = work[i];
-    w.ordinal = i;
     w.block = blocks[i];
     w.ids = needs[i].column_ids();
     w.cols.resize(w.ids.size());
     for (std::size_t c = 0; c < w.ids.size(); ++c) {
-      const BlockCache::Key key{bundle_,
-                                static_cast<std::uint32_t>(w.block),
-                                w.ids[c]};
-      bool owner = false;
-      w.cols[c] = cache_->get_or_begin(key, &owner);
-      if (w.cols[c]) continue;
-      (owner ? w.owned : w.pending).push_back(w.ids[c]);
+      w.cols[c] = cache_->get(
+          {bundle_, static_cast<std::uint32_t>(w.block), w.ids[c]});
+      if (!w.cols[c]) w.missing.push_back(w.ids[c]);
     }
-    if (!w.owned.empty()) {
-      decoding.push_back(i);
-    } else if (!w.pending.empty()) {
-      waiting.push_back(i);
-    } else {
-      ready.push_back(i);
-    }
+    (w.missing.empty() ? ready : decoding).push_back(i);
   }
 
-  // `resolved[i][k]` flips once work[decoding[i]].owned[k] is published
-  // (insert).  Written by the worker decoding that block, read by the
-  // failure path after the pool barrier -- anything still false there is
-  // an ownership this scan must abandon so followers wake and retry.
-  std::vector<std::vector<char>> resolved(decoding.size());
-  for (std::size_t i = 0; i < decoding.size(); ++i) {
-    resolved[i].assign(work[decoding[i]].owned.size(), 0);
-  }
-  const auto abandon_unresolved = [&] {
+  // Decode the missing columns block-parallel, insert them, and run the
+  // body.  A column is inserted only once it has decoded, so a failed
+  // scan leaves nothing half-made in the cache.
+  if (!decoding.empty()) {
+    std::vector<std::size_t> shard_blocks(decoding.size());
     for (std::size_t i = 0; i < decoding.size(); ++i) {
-      const BlockWork& w = work[decoding[i]];
-      for (std::size_t k = 0; k < w.owned.size(); ++k) {
-        if (!resolved[i][k]) {
-          cache_->abandon({bundle_, static_cast<std::uint32_t>(w.block),
-                           w.owned[k]});
-        }
-      }
+      shard_blocks[i] = work[decoding[i]].block;
     }
-  };
-
-  // Resolves a block's pending columns: wait for the owning scan, and
-  // when that owner abandoned (wait returns null), re-claim the key --
-  // the retry either hits a later insert, joins a newer owner, or wins
-  // ownership and decodes just that column sequentially.
-  const auto finish_pending = [&](BlockWork& w) {
-    for (const std::uint32_t id : w.pending) {
-      const BlockCache::Key key{bundle_,
-                                static_cast<std::uint32_t>(w.block), id};
-      std::shared_ptr<const CachedColumn> col;
-      {
-        CAL_SPAN("serve.cache.wait");
-        col = cache_->wait(key);
-      }
-      while (!col) {
-        bool owner = false;
-        col = cache_->get_or_begin(key, &owner);
-        if (col) break;
-        if (!owner) {
-          col = cache_->wait(key);
-          continue;
-        }
-        try {
-          std::string image;
-          reader_.scan_blocks(
-              {w.block}, nullptr,
-              [&](std::size_t, std::size_t, const std::string& raw) {
-                image = raw;
-              });
+    reader_.scan_blocks(
+        shard_blocks, pool,
+        [&](std::size_t i, std::size_t block, const std::string& raw) {
+          BlockWork& w = work[decoding[i]];
           const DecodedColumns d = query::decode_columns(
-              image, set_of({id}, n_factors, n_metrics),
-              manifest.blocks[w.block].records, n_factors, n_metrics);
-          col = std::make_shared<const CachedColumn>(
-              take_column(d, id, n_factors));
-          cache_->insert(key, *col);
-        } catch (...) {
-          cache_->abandon(key);
-          throw;
-        }
-      }
-      for (std::size_t c = 0; c < w.ids.size(); ++c) {
-        if (w.ids[c] == id) w.cols[c] = col;
-      }
-    }
-  };
-
-  try {
-    // Phase B: decode owned columns block-parallel and publish them.
-    if (!decoding.empty()) {
-      std::vector<std::size_t> shard_blocks(decoding.size());
-      for (std::size_t i = 0; i < decoding.size(); ++i) {
-        shard_blocks[i] = work[decoding[i]].block;
-      }
-      reader_.scan_blocks(
-          shard_blocks, pool,
-          [&](std::size_t i, std::size_t block, const std::string& raw) {
-            BlockWork& w = work[decoding[i]];
-            const DecodedColumns d = query::decode_columns(
-                raw, set_of(w.owned, n_factors, n_metrics),
-                manifest.blocks[block].records, n_factors, n_metrics);
-            CAL_FAULT_POINT("serve.cache_insert");
-            for (std::size_t k = 0; k < w.owned.size(); ++k) {
-              CachedColumn col = take_column(d, w.owned[k], n_factors);
-              auto shared =
-                  std::make_shared<const CachedColumn>(std::move(col));
-              cache_->insert({bundle_, static_cast<std::uint32_t>(block),
-                              w.owned[k]},
-                             *shared);
-              resolved[i][k] = 1;
-              for (std::size_t c = 0; c < w.ids.size(); ++c) {
-                if (w.ids[c] == w.owned[k]) w.cols[c] = shared;
-              }
+              raw, set_of(w.missing, n_factors, n_metrics),
+              manifest.blocks[block].records, n_factors, n_metrics);
+          CAL_FAULT_POINT("serve.cache_insert");
+          for (const std::uint32_t id : w.missing) {
+            auto col = std::make_shared<const CachedColumn>(
+                take_column(d, id, n_factors));
+            for (std::size_t c = 0; c < w.ids.size(); ++c) {
+              if (w.ids[c] == id) w.cols[c] = col;
             }
-            // Blocks also waiting on another scan's columns defer to
-            // phase C; everything else serves right here.
-            if (w.pending.empty()) body(w.ordinal, assemble(w));
-          });
-    }
+            cache_->insert({bundle_, static_cast<std::uint32_t>(block), id},
+                           std::move(col));
+          }
+          body(decoding[i], assemble(w));
+        });
+  }
 
-    // Phase B2: fully-cached blocks -- the warm path.  Parallel because
-    // the body (predicate eval + fold) is the remaining cost.
-    if (pool != nullptr && ready.size() > 1) {
-      pool->run_indexed(ready.size(), [&](std::size_t, std::size_t i) {
-        const BlockWork& w = work[ready[i]];
-        body(w.ordinal, assemble(w));
-      });
-    } else {
-      for (const std::size_t i : ready) {
-        body(work[i].ordinal, assemble(work[i]));
-      }
-    }
-
-    // Phase C: wait for columns other scans own.  Safe only now: every
-    // key this scan owns is resolved, so the scans we wait on can never
-    // be waiting on us.  An abandoned key (owner failed) is re-claimed
-    // and decoded sequentially -- the slow path of a rare failure.
-    for (const std::size_t i : waiting) {
-      finish_pending(work[i]);
-      body(work[i].ordinal, assemble(work[i]));
-    }
-    for (const std::size_t i : decoding) {
-      if (work[i].pending.empty()) continue;
-      finish_pending(work[i]);
-      body(work[i].ordinal, assemble(work[i]));
-    }
-  } catch (...) {
-    abandon_unresolved();
-    throw;
+  // Fully cached blocks -- the warm path.  Parallel because the body
+  // (predicate eval + fold) is the remaining cost.
+  if (pool != nullptr && ready.size() > 1) {
+    pool->run_indexed(ready.size(), [&](std::size_t, std::size_t i) {
+      body(ready[i], assemble(work[ready[i]]));
+    });
+  } else {
+    for (const std::size_t i : ready) body(i, assemble(work[i]));
   }
 }
 

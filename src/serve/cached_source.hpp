@@ -2,33 +2,18 @@
 // Cache-backed BlockSource of the serving layer.
 //
 // CachingBlockSource implements the query engine's block-provider seam
-// on top of a shared BlockCache: a scan takes every column it can from
-// the cache, decodes only the holes, and publishes what it decoded so
-// the next query -- or a concurrent one -- finds it warm.  Because the
-// planner prunes zone-map-rejected blocks before the scan ever reaches
-// a source, pruned blocks are never decoded and never admitted.
+// on top of a shared BlockCache.  A scan looks up every (block, column)
+// it needs, decodes only the missing columns -- block-parallel, straight
+// from the shards -- and inserts them so the next query finds them
+// warm; blocks the cache held entirely are then served in parallel
+// without touching a shard file.  Because the planner prunes
+// zone-map-rejected blocks before the scan ever reaches a source,
+// pruned blocks are never decoded and never admitted.
 //
-// A scan proceeds in phases, ordered so concurrent scans cannot
-// deadlock on each other's in-flight decodes:
-//
-//   A  classify   every (block, column) is claimed via
-//                 BlockCache::get_or_begin -- hit, owned (this scan
-//                 decodes), or pending (another scan is decoding);
-//   B  decode     blocks with owned columns are fetched + decoded
-//                 block-parallel; every owned column is inserted
-//                 (resolving it for waiters) and blocks with no pending
-//                 columns run the scan body immediately;
-//   B2 serve      fully-cached blocks run the scan body in parallel --
-//                 the warm path touches no shard file at all;
-//   C  wait       only now, with every owned key resolved, does the
-//                 scan wait on columns owned by other scans.  A wait
-//                 that returns null (the owner failed and abandoned)
-//                 retries ownership and falls back to a sequential
-//                 decode of just that column.
-//
-// On any failure the scan abandons whatever it owned and had not yet
-// resolved, so a failing request wakes -- never wedges -- its followers
-// and leaves no poisoned cache entry behind.
+// Columns are inserted only after they decode, so a scan that fails
+// leaves nothing half-made behind.  The server runs one query at a time
+// (see serve/server.hpp), so scans never overlap; the cache's mutex
+// guards the concurrent inserts of one scan's pool workers.
 
 #include <cstdint>
 
@@ -53,10 +38,6 @@ class CachingBlockSource final : public query::BlockSource {
             const std::function<void(std::size_t,
                                      const query::DecodedColumns&)>& body)
       const override;
-
-  const io::archive::BbxReader& reader() const noexcept { return reader_; }
-  BlockCache& cache() const noexcept { return *cache_; }
-  std::uint64_t bundle_id() const noexcept { return bundle_; }
 
  private:
   const io::archive::BbxReader& reader_;

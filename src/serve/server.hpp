@@ -16,8 +16,7 @@
 //              interleave partial merges;
 //   coalescing identical concurrent requests (same kind, bundle,
 //              predicate, grouping, aggregates, projection) collapse
-//              into one execution whose response every caller shares --
-//              on top of the cache's column-level single-flight;
+//              into one execution whose response every caller shares;
 //   transport  length-prefixed frames (serve/protocol.hpp) over a unix
 //              socket, a loopback TCP socket, or both; one thread per
 //              connection, graceful shutdown via socket shutdown + join.
@@ -26,8 +25,8 @@
 // bundle, injected fault) produces a kError response -- or, for
 // protocol-level garbage, a closed connection -- and nothing else.  The
 // worker pool stays healthy (it rethrows per-window and is reusable by
-// design) and the cache stays clean (the scan abandons what it could
-// not fill; see serve/cached_source.hpp).
+// design) and the cache stays clean (a scan inserts a column only once
+// it has decoded; see serve/cached_source.hpp).
 
 #include <atomic>
 #include <chrono>
@@ -51,7 +50,6 @@ struct ServerOptions {
   int tcp_port = -1;        ///< loopback TCP (-1 = none, 0 = ephemeral)
   std::size_t workers = 1;  ///< shared pool width (1 = sequential scans)
   BlockCache::Options cache;
-  bool coalesce_requests = true;
 };
 
 class QueryServer {

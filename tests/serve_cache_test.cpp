@@ -1,8 +1,8 @@
 // BlockCache + CachingBlockSource unit suite: LRU hit/miss/evict under
-// byte pressure, the single-flight coalescing protocol (no double
-// decode, abandoned owners wake waiters), the disabled-cache identity
-// guarantee, zone-map-aware admission (pruned blocks never admitted),
-// and a multi-thread stress run.  Runs in the sanitize CI job.
+// byte pressure, rejection of entries wider than the budget, the
+// zero-budget identity guarantee, zone-map-aware admission (pruned
+// blocks never admitted), and multi-thread runs of the cache and the
+// source.  Runs in the sanitize CI job.
 
 #include <gtest/gtest.h>
 
@@ -27,12 +27,13 @@ namespace ar = io::archive;
 using serve::BlockCache;
 using serve::CachedColumn;
 
-/// A resolved column of `n` doubles (8n accounting bytes).
-CachedColumn real_column(std::size_t n, double fill = 1.0) {
-  CachedColumn col;
+/// A column of `n` doubles (8n accounting bytes).
+std::shared_ptr<const CachedColumn> real_column(std::size_t n,
+                                                double fill = 1.0) {
+  auto col = std::make_shared<CachedColumn>();
   auto values = std::make_shared<std::vector<double>>(n, fill);
-  col.bytes = serve::column_bytes(*values);
-  col.real = std::move(values);
+  col->bytes = serve::column_bytes(*values);
+  col->real = std::move(values);
   return col;
 }
 
@@ -46,9 +47,7 @@ TEST(BlockCache, HitMissAndLruRefreshUnderBytePressure) {
   BlockCache cache(options);
 
   for (std::uint32_t b = 0; b < 3; ++b) {
-    bool owner = false;
-    EXPECT_EQ(cache.get_or_begin(key_of(b), &owner), nullptr);
-    EXPECT_TRUE(owner);
+    EXPECT_EQ(cache.get(key_of(b)), nullptr);
     cache.insert(key_of(b), real_column(10, b));
   }
   EXPECT_EQ(cache.stats().entries, 3u);
@@ -68,45 +67,29 @@ TEST(BlockCache, HitMissAndLruRefreshUnderBytePressure) {
   EXPECT_LE(cache.stats().bytes, options.byte_budget);
 }
 
-TEST(BlockCache, EntryWiderThanBudgetServesWaitersButIsNotRetained) {
+TEST(BlockCache, EntryWiderThanBudgetIsRejected) {
   BlockCache::Options options;
   options.byte_budget = 100;
   BlockCache cache(options);
 
-  bool owner = false;
-  cache.get_or_begin(key_of(7), &owner);
-  ASSERT_TRUE(owner);
-
-  // A follower runs the full wait-or-retry protocol: a parked wait()
-  // receives the value directly; a late arrival sees the (unretained,
-  // already dropped) key as absent, retries, and owns the decode
-  // itself.  Either way it must end up with a value.
-  std::shared_ptr<const CachedColumn> seen;
-  std::thread waiter([&] {
-    seen = cache.wait(key_of(7));
-    while (seen == nullptr) {
-      bool late_owner = false;
-      seen = cache.get_or_begin(key_of(7), &late_owner);
-      if (seen != nullptr) break;
-      if (late_owner) {
-        auto column = real_column(1000);
-        seen = std::make_shared<const CachedColumn>(column);
-        cache.insert(key_of(7), std::move(column));
-      } else {
-        seen = cache.wait(key_of(7));
-      }
-    }
-  });
   cache.insert(key_of(7), real_column(1000));  // 8000 bytes > budget
-  waiter.join();
-
-  ASSERT_NE(seen, nullptr);
-  EXPECT_EQ(seen->real->size(), 1000u);
   const BlockCache::Stats stats = cache.stats();
-  EXPECT_GE(stats.rejected, 1u);
+  EXPECT_EQ(stats.inserts, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(cache.get(key_of(7)), nullptr);  // not retained
+}
+
+TEST(BlockCache, FirstInsertedValueWins) {
+  BlockCache cache;
+  cache.insert(key_of(3), real_column(2, 1.0));
+  cache.insert(key_of(3), real_column(2, 9.0));
+  const auto hit = cache.get(key_of(3));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ((*hit->real)[0], 1.0);
+  EXPECT_EQ(cache.stats().inserts, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(BlockCache, OverBudgetInsertsNeverChargeTheBudget) {
@@ -117,14 +100,9 @@ TEST(BlockCache, OverBudgetInsertsNeverChargeTheBudget) {
   options.byte_budget = 2 * 80;  // room for two 10-double columns
   BlockCache cache(options);
 
-  bool owner = false;
-  cache.get_or_begin(key_of(1), &owner);
   cache.insert(key_of(1), real_column(10));    // retained, 80 bytes
-  cache.get_or_begin(key_of(2), &owner);
   cache.insert(key_of(2), real_column(1000));  // 8000 bytes: rejected
-  cache.get_or_begin(key_of(3), &owner);
   cache.insert(key_of(3), real_column(10));    // retained
-  cache.get_or_begin(key_of(4), &owner);
   cache.insert(key_of(4), real_column(10));    // retained, evicts key 1
 
   const BlockCache::Stats stats = cache.stats();
@@ -140,7 +118,7 @@ TEST(BlockCache, OverBudgetInsertsNeverChargeTheBudget) {
 }
 
 TEST(BlockCache, ZeroBudgetRetainsNothingIncludingZeroByteColumns) {
-  // byte_budget = 0 documents "retention disabled"; a zero-byte column
+  // byte_budget = 0 documents "retain nothing"; a zero-byte column
   // (a zero-record block's) must not slip past the budget check and
   // accumulate as immortal entries.
   BlockCache::Options options;
@@ -148,9 +126,6 @@ TEST(BlockCache, ZeroBudgetRetainsNothingIncludingZeroByteColumns) {
   BlockCache cache(options);
 
   for (std::uint32_t b = 0; b < 4; ++b) {
-    bool owner = false;
-    cache.get_or_begin(key_of(b), &owner);
-    ASSERT_TRUE(owner);
     cache.insert(key_of(b), real_column(0));  // 0 accounting bytes
   }
   const BlockCache::Stats stats = cache.stats();
@@ -159,78 +134,6 @@ TEST(BlockCache, ZeroBudgetRetainsNothingIncludingZeroByteColumns) {
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(cache.get(key_of(0)), nullptr);
-}
-
-TEST(BlockCache, DisabledCacheAlwaysGrantsOwnershipAndDropsInserts) {
-  BlockCache::Options options;
-  options.enabled = false;
-  BlockCache cache(options);
-
-  for (int round = 0; round < 2; ++round) {
-    bool owner = false;
-    EXPECT_EQ(cache.get_or_begin(key_of(1), &owner), nullptr);
-    EXPECT_TRUE(owner);
-    cache.insert(key_of(1), real_column(4));
-  }
-  const BlockCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.inserts, 0u);
-}
-
-TEST(BlockCache, AbandonWakesWaiterWhoRetriesAndBecomesOwner) {
-  BlockCache cache;
-  bool owner = false;
-  cache.get_or_begin(key_of(5), &owner);
-  ASSERT_TRUE(owner);
-
-  std::atomic<bool> retried_as_owner{false};
-  std::thread follower([&] {
-    bool follower_owner = false;
-    auto hit = cache.get_or_begin(key_of(5), &follower_owner);
-    EXPECT_EQ(hit, nullptr);
-    EXPECT_FALSE(follower_owner);  // the main thread owns the decode
-    hit = cache.wait(key_of(5));
-    EXPECT_EQ(hit, nullptr);  // abandoned: retry
-    hit = cache.get_or_begin(key_of(5), &follower_owner);
-    if (follower_owner) {
-      retried_as_owner.store(true);
-      cache.insert(key_of(5), real_column(2));
-    }
-  });
-  // Give the follower time to park in wait() before abandoning.
-  while (cache.stats().coalesced == 0) std::this_thread::yield();
-  cache.abandon(key_of(5));
-  follower.join();
-
-  EXPECT_TRUE(retried_as_owner.load());
-  EXPECT_NE(cache.get(key_of(5)), nullptr);
-  EXPECT_EQ(cache.stats().abandoned, 1u);
-}
-
-TEST(BlockCache, AbandonIsNoOpOnResolvedKeys) {
-  BlockCache cache;
-  bool owner = false;
-  cache.get_or_begin(key_of(2), &owner);
-  cache.insert(key_of(2), real_column(3));
-  cache.abandon(key_of(2));  // blanket-abandon after success: no-op
-  cache.abandon(key_of(9));  // absent: no-op
-  EXPECT_NE(cache.get(key_of(2)), nullptr);
-  EXPECT_EQ(cache.stats().abandoned, 0u);
-}
-
-TEST(BlockCache, ClearDropsRetainedEntriesButKeepsCounters) {
-  BlockCache cache;
-  bool owner = false;
-  cache.get_or_begin(key_of(1), &owner);
-  cache.insert(key_of(1), real_column(4));
-  cache.clear();
-  EXPECT_EQ(cache.get(key_of(1)), nullptr);
-  const BlockCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(stats.inserts, 1u);  // lifetime counters survive
 }
 
 TEST(BlockCache, MultiThreadStressStaysWithinBudget) {
@@ -249,21 +152,11 @@ TEST(BlockCache, MultiThreadStressStaysWithinBudget) {
       for (int i = 0; i < kOps; ++i) {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
         const auto k = key_of(static_cast<std::uint32_t>(state % kKeys));
-        bool owner = false;
-        auto hit = cache.get_or_begin(k, &owner);
+        const auto hit = cache.get(k);
         if (hit != nullptr) {
           EXPECT_EQ(hit->real->size(), 10u);
-          continue;
-        }
-        if (owner) {
-          if (state % 17 == 0) {
-            cache.abandon(k);  // simulated decode failure
-          } else {
-            cache.insert(k, real_column(10));
-          }
         } else {
-          hit = cache.wait(k);  // value or abandoned-null both fine
-          if (hit != nullptr) EXPECT_EQ(hit->real->size(), 10u);
+          cache.insert(k, real_column(10));
         }
       }
     });
@@ -273,7 +166,7 @@ TEST(BlockCache, MultiThreadStressStaysWithinBudget) {
   const BlockCache::Stats stats = cache.stats();
   EXPECT_LE(stats.bytes, options.byte_budget);
   EXPECT_EQ(stats.bytes, stats.entries * 80u);
-  EXPECT_EQ(stats.hits + stats.misses + stats.coalesced,
+  EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kThreads) * kOps);
 }
 
@@ -343,7 +236,7 @@ TEST_F(CachingSourceTest, ByteIdenticalToDirectAtAnyCacheSizeAndWarmth) {
   serve::BlockCache::Options configs[3];
   configs[0] = {};                    // big: everything retained
   configs[1].byte_budget = 200;       // tiny: constant eviction
-  configs[2].enabled = false;         // disabled: transparent
+  configs[2].byte_budget = 0;         // zero: retains nothing
   for (auto& config : configs) {
     serve::BlockCache cache(config);
     serve::CachingBlockSource source(reader, &cache, 0);
@@ -382,7 +275,7 @@ TEST_F(CachingSourceTest, WarmScanHitsAndAdmissionSkipsPrunedBlocks) {
   EXPECT_EQ(csv_of(warm), csv_of(cold));
 }
 
-TEST_F(CachingSourceTest, ConcurrentIdenticalScansNeverDoubleDecode) {
+TEST_F(CachingSourceTest, ConcurrentIdenticalScansAgree) {
   const ar::BbxReader reader(dir_.string());
   serve::BlockCache cache;
   serve::CachingBlockSource source(reader, &cache, 0);
@@ -402,16 +295,14 @@ TEST_F(CachingSourceTest, ConcurrentIdenticalScansNeverDoubleDecode) {
   for (std::thread& t : threads) t.join();
   for (const std::string& csv : results) EXPECT_EQ(csv, expected);
 
-  // Single-flight: every needed (block, column) decoded exactly once
-  // across all six concurrent scans -- inserts equals the distinct key
-  // count one cold scan produces, and nothing was abandoned.
+  // Every scan looks up the same keys as one cold scan, and a key two
+  // scans both decoded is retained once.
   const BlockCache::Stats stats = cache.stats();
   serve::BlockCache fresh;
   serve::CachingBlockSource fresh_source(reader, &fresh, 0);
   query::BundleQuery(reader, &fresh_source).aggregate(selective_spec());
-  EXPECT_EQ(stats.inserts, fresh.stats().inserts);
-  EXPECT_EQ(stats.abandoned, 0u);
-  EXPECT_EQ(stats.hits + stats.coalesced + stats.misses,
+  EXPECT_EQ(stats.entries, fresh.stats().entries);
+  EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kScanners) * fresh.stats().misses);
 }
 

@@ -10,6 +10,8 @@
 #include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/fault.hpp"
@@ -62,10 +64,16 @@ class ServeFault : public ::testing::Test {
     io::archive::BbxWriter sink((root_ / "catalog" / "mem").string(),
                                 writer_options);
     engine.run(fault_plan(), fault_measure, sink);
+    start_server(serve::BlockCache::Options{});
+  }
 
+  /// (Re)starts the daemon on the fixture's socket with `cache`.
+  void start_server(serve::BlockCache::Options cache) {
+    if (server_) server_->stop();
     serve::ServerOptions server_options;
     server_options.socket_path = (root_ / "serve.sock").string();
     server_options.workers = 2;
+    server_options.cache = cache;
     server_ = std::make_unique<serve::QueryServer>(
         (root_ / "catalog").string(), server_options);
     server_->start();
@@ -98,15 +106,14 @@ class ServeFault : public ::testing::Test {
 
 TEST_F(ServeFault, CacheInsertFailureErrorsTheRequestWithoutPoisoning) {
   // First insert of the scan throws: the request must come back as an
-  // error and every decode the scan owned must be abandoned, not left
-  // pending (a poisoned pending entry would wedge the next scan).
+  // error, and the columns that never reached the cache must decode
+  // again on the retry.
   f::arm_spec("serve.cache_insert=error@1");
   QueryClient client = connect();
   const Response faulted = client.call(aggregate_request());
   EXPECT_EQ(faulted.status, Status::kError);
   EXPECT_NE(faulted.body.find("serve.cache_insert"), std::string::npos);
   EXPECT_GT(f::hits("serve.cache_insert"), 0u);
-  EXPECT_GT(server_->cache_stats().abandoned, 0u);
 
   // Fault cleared: the same connection, same request, must now succeed
   // and match a never-faulted in-process run byte for byte.
@@ -120,9 +127,8 @@ TEST_F(ServeFault, CacheInsertFailureErrorsTheRequestWithoutPoisoning) {
 }
 
 TEST_F(ServeFault, EveryCacheInsertFailingStillRecoversAfterReset) {
-  // Not just the first insert: every insert of the scan fails.  The
-  // scan must abandon all of its ownerships so a retry can reclaim
-  // them, and the workers must stay usable.
+  // Not just the first insert: every insert of the scan fails.  Nothing
+  // reaches the cache, and the workers must stay usable.
   f::arm_spec("serve.cache_insert=error");
   QueryClient client = connect();
   EXPECT_EQ(client.call(aggregate_request()).status, Status::kError);
@@ -158,20 +164,49 @@ TEST_F(ServeFault, WriteFrameFailureDropsTheClientButNotTheServer) {
   EXPECT_EQ(after.body, reference.body);
 }
 
-TEST_F(ServeFault, DelayedCacheInsertKeepsConcurrentScansCorrect) {
-  // A slow (not failing) insert stretches the single-flight window so
-  // followers genuinely park in wait(); everyone must still agree.
-  f::arm_spec("serve.cache_insert=delay:20@1");
-  const Response reference = server_->execute(aggregate_request());
-  ASSERT_EQ(reference.status, Status::kOk);
-  QueryClient a = connect();
-  QueryClient b = connect();
-  const Response ra = a.call(aggregate_request());
-  const Response rb = b.call(aggregate_request());
-  ASSERT_EQ(ra.status, Status::kOk);
-  ASSERT_EQ(rb.status, Status::kOk);
-  EXPECT_EQ(ra.body, reference.body);
-  EXPECT_EQ(rb.body, reference.body);
+TEST_F(ServeFault, DelayedInsertsUnderEvictionKeepConcurrentClientsCorrect) {
+  // Distinct requests (so request coalescing never applies) from four
+  // concurrent clients, every cache insert slowed and the budget small
+  // enough to evict constantly: each response must still equal what a
+  // fresh server's in-process path computes without the fault.
+  serve::BlockCache::Options cache;
+  cache.byte_budget = 512;
+  start_server(cache);
+  constexpr int kClients = 4;
+  constexpr int kRequests = 5;
+  const auto request_of = [](int client, int r) {
+    Request request = aggregate_request();
+    request.where = "sequence < " + std::to_string(4 + client * 8 + r);
+    return request;
+  };
+
+  f::arm_spec("serve.cache_insert=delay:2");
+  std::vector<std::vector<Response>> responses(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      QueryClient client = connect();
+      for (int r = 0; r < kRequests; ++r) {
+        responses[c].push_back(client.call(request_of(c, r)));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_GT(f::hits("serve.cache_insert"), 0u);
+  f::reset();
+
+  EXPECT_GT(server_->cache_stats().evictions, 0u);
+  EXPECT_EQ(server_->counters().coalesced, 0u);
+  serve::QueryServer fresh((root_ / "catalog").string(), {});
+  for (int c = 0; c < kClients; ++c) {
+    ASSERT_EQ(responses[c].size(), static_cast<std::size_t>(kRequests));
+    for (int r = 0; r < kRequests; ++r) {
+      ASSERT_EQ(responses[c][r].status, Status::kOk);
+      const Response reference = fresh.execute(request_of(c, r));
+      ASSERT_EQ(reference.status, Status::kOk);
+      EXPECT_EQ(responses[c][r].body, reference.body);
+    }
+  }
 }
 
 }  // namespace
